@@ -52,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--engine", choices=lam.ENGINES, default="cassette",
                        help="descriptor engine (default: cassette)")
-        p.add_argument("--grammar", choices=["lambda"], default="lambda",
-                       help="grammar to use (default: lambda)")
         p.add_argument("--input", metavar="PATH",
                        help="read from this file instead of stdin")
 
@@ -70,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus = sub.add_parser("test-corpus", help="run a golden corpus directory")
     corpus.add_argument("directory")
     corpus.add_argument("--engine", choices=lam.ENGINES, default="cassette")
-    corpus.add_argument("--grammar", choices=["lambda"], default="lambda")
     return top
 
 

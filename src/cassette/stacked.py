@@ -37,9 +37,10 @@ import sys
 import threading
 from typing import Callable, Optional, Sequence
 
+from .tier2 import digit_iso, is_ascii_digit
 from .values import (
-    Char, ContractViolation, Int, List, Pair, Prism, Stack, Unit, Value,
-    cons_prism, stack_of,
+    Char, ContractViolation, List, Pair, Prism, Stack, Unit, Value,
+    cons_prism, nil_prism, stack_of,
 )
 
 # An Answer consumes a stack and produces the run's final outcome.
@@ -89,27 +90,47 @@ class TracedK:
         return self.fn(self.prefix + chunk)
 
 
-def _is_ascii_digit(c: str) -> bool:
-    return "0" <= c <= "9"
-
-
 def _pop_char(v: Value) -> str:
     if not isinstance(v, Char):
         raise ContractViolation(f"print wants a Char on the stack, got {v!r}")
     return v.c
 
 
+class _Applicative:
+    """Sequencing derived from `ret` and `bind`, shared by both variants.
+
+    `a @ b` applies, `a << b` keeps the left result, `a >> b` the right.
+    """
+
+    __slots__ = ()
+
+    def map(self, g):
+        return self.bind(lambda a: self.ret(g(a)))
+
+    def ap(self, other):
+        return self.bind(lambda g: other.bind(lambda a: self.ret(g(a))))
+
+    def left(self, other):
+        return self.map(lambda a: lambda _u: a).ap(other)
+
+    def right(self, other):
+        return self.map(lambda _a: lambda b: b).ap(other)
+
+    __matmul__ = ap
+    __lshift__ = left
+    __rshift__ = right
+
+
 # ---------------------------------------------------------------------------
 # Linear variant
 
 
-class Linear:
+class Linear(_Applicative):
     """An indexed action without failure.
 
     `pr(wrapped_continuation) -> answer` is the print side;
     `pa(text, i) -> (result, i')` the parse side, raising
-    `ContractViolation` on mismatch.  `a @ b` applies, `a << b` keeps
-    the left result, `a >> b` the right.
+    `ContractViolation` on mismatch.
     """
 
     __slots__ = ("pr", "pa")
@@ -132,22 +153,6 @@ class Linear:
             return f(a).pa(s, j)
 
         return Linear(pr, pa)
-
-    def map(self, g) -> "Linear":
-        return self.bind(lambda a: Linear.ret(g(a)))
-
-    def ap(self, other: "Linear") -> "Linear":
-        return self.bind(lambda g: other.bind(lambda a: Linear.ret(g(a))))
-
-    def left(self, other: "Linear") -> "Linear":
-        return self.map(lambda a: lambda _u: a).ap(other)
-
-    def right(self, other: "Linear") -> "Linear":
-        return self.map(lambda _a: lambda b: b).ap(other)
-
-    __matmul__ = ap
-    __lshift__ = left
-    __rshift__ = right
 
 
 def _lin_shift(f: Callable[[Answer], Linear]) -> Linear:
@@ -206,9 +211,14 @@ def lin_emit(chunk: str) -> Linear:
 
 
 def lin_satisfy(pred: Callable[[str], bool], label: str = "satisfy") -> Linear:
-    """Print pops a Char and emits it; parse consumes one passing char."""
-    print_side = lin_pop().bind(
-        lambda c: lin_emit(_pop_char(c)).right(Linear.ret(c)))
+    """Print pops a Char and emits it; parse consumes one passing char.
+    A char the predicate rejects is a violation on both sides."""
+    def print_char(c):
+        if not pred(_pop_char(c)):
+            raise ContractViolation(f"{c.c!r} does not satisfy {label}")
+        return lin_emit(c.c).right(Linear.ret(c))
+
+    print_side = lin_pop().bind(print_char)
 
     def pa(s, i):
         if i < len(s) and pred(s[i]):
@@ -235,16 +245,10 @@ def lin_char() -> Linear:
 
 def lin_digit() -> Linear:
     """One decimal digit as an Int."""
-    def rewrite(k):
-        def to_char(v):
-            if not isinstance(v, Int):
-                raise ContractViolation(f"digit wants an Int, got {v!r}")
-            return supply(k, Char(str(v.n)[0]))
-        return consume(to_char)
-
-    conv = lambda c: Int(int(c.c))
-    return Linear.ret(conv).left(lin_stack_map(rewrite)).ap(
-        lin_satisfy(_is_ascii_digit, "digit"))
+    iso = digit_iso()
+    to_char = lin_stack_map(lambda k: consume(lambda v: supply(k, iso.to(v))))
+    return Linear.ret(iso.from_).left(to_char).ap(
+        lin_satisfy(is_ascii_digit, "digit"))
 
 
 def nth_char_format() -> Linear:
@@ -260,7 +264,7 @@ def nth_char_format() -> Linear:
 # Choice variant
 
 
-class Choice:
+class Choice(_Applicative):
     """An indexed action with failure and choice.
 
     `pr(wrapped_continuation, failure_answer) -> answer`;
@@ -298,18 +302,6 @@ class Choice:
 
         return Choice(pr, pa)
 
-    def map(self, g) -> "Choice":
-        return self.bind(lambda a: Choice.ret(g(a)))
-
-    def ap(self, other: "Choice") -> "Choice":
-        return self.bind(lambda g: other.bind(lambda a: Choice.ret(g(a))))
-
-    def left(self, other: "Choice") -> "Choice":
-        return self.map(lambda a: lambda _u: a).ap(other)
-
-    def right(self, other: "Choice") -> "Choice":
-        return self.map(lambda _a: lambda b: b).ap(other)
-
     def alt(self, other: "Choice") -> "Choice":
         def pr(wk, fl):
             # the untried branch is the failure answer of the first one;
@@ -322,9 +314,6 @@ class Choice:
 
         return Choice(pr, pa)
 
-    __matmul__ = ap
-    __lshift__ = left
-    __rshift__ = right
     __or__ = alt
 
 
@@ -385,10 +374,14 @@ def alt_emit(chunk: str) -> Choice:
 
 
 def alt_satisfy(pred, label: str = "satisfy") -> Choice:
-    """Print pops a Char and emits it; parse consumes one passing char
-    or fails recoverably."""
-    print_side = alt_pop().bind(
-        lambda c: alt_emit(_pop_char(c)).right(Choice.ret(c)))
+    """Print pops a Char and emits it; either side fails recoverably on
+    a char the predicate rejects."""
+    def print_char(c):
+        if not pred(_pop_char(c)):
+            return Choice.fail()
+        return alt_emit(c.c).right(Choice.ret(c))
+
+    print_side = alt_pop().bind(print_char)
 
     def pa(s, i):
         if i < len(s) and pred(s[i]):
@@ -461,9 +454,8 @@ def alt_cons_lead() -> Choice:
 
 
 def alt_many(p: Choice) -> Choice:
-    """Zero or more p as a List; the empty case drops the spent list."""
-    d = alt_defer(lambda: alt_some_with(p, d) |
-                  alt_pop_().right(Choice.ret(List(()))))
+    """Zero or more p as a List."""
+    d = alt_defer(lambda: alt_some_with(p, d) | alt_prism_lead(nil_prism()))
     return d
 
 

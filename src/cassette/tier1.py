@@ -1,9 +1,10 @@
 """Choice-free format descriptors.
 
-A `Descriptor1` is a pair of string transformers over one value stack:
-the print side pops arguments and emits text, the parse side consumes
-text and pushes values.  Composition splices descriptors; there is no
-failure recovery, so any mismatch raises `ContractViolation`.
+A `Descriptor1` is a run of tier-2 leaves over one value stack: the
+print side pops arguments and emits text, the parse side consumes text
+and pushes values.  Composition splices runs.  There is no choice, so
+the runners are straight-line loops over the leaves' own steps, and any
+mismatch raises `ContractViolation` at the first leaf that fails.
 
 Of the two ways to type the parse side of such descriptors, this engine
 realizes the one that instantiates the printing answer types with
@@ -15,148 +16,23 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .values import (
-    Char, ContractViolation, Int, Iso, Pair, Stack, Value, stack_of,
-    EMPTY_STACK,
-)
-
-
-def _is_ascii_digit(c: str) -> bool:
-    return "0" <= c <= "9"
+from . import tier2
+from .tier2 import _Lit, _Satisfy, digit_iso, is_ascii_digit
+from .values import Char, ContractViolation, Iso, Value, stack_of, EMPTY_STACK
 
 
 class Descriptor1:
-    """One splice-able print/parse pair.  `arity` is the net number of
-    argument values the print side consumes."""
+    """A splice-able run of tier-2 leaves, without choice.  `arity` is
+    the net number of argument values the print side consumes."""
 
-    __slots__ = ()
-    arity = 0
+    __slots__ = ("nodes", "arity")
+
+    def __init__(self, nodes: tuple, arity: int):
+        self.nodes = nodes
+        self.arity = arity
 
     def __add__(self, other: "Descriptor1") -> "Descriptor1":
         return compose(self, other)
-
-    # engine hooks, one per side
-    def run_print(self, state: "_PrintState") -> None:
-        raise NotImplementedError
-
-    def run_parse(self, state: "_ParseState") -> None:
-        raise NotImplementedError
-
-
-class _PrintState:
-    __slots__ = ("chunks", "stack", "consumed")
-
-    def __init__(self, stack: Stack):
-        self.chunks = []
-        self.stack = stack
-        self.consumed = 0
-
-    def pop_char(self, want: str) -> str:
-        v, self.stack = self.stack.pop()
-        self.consumed += 1
-        if not isinstance(v, Char):
-            raise ContractViolation(
-                f"argument {self.consumed}: {want} wants a Char, got {v!r}")
-        return v.c
-
-
-class _ParseState:
-    __slots__ = ("text", "pos", "stack")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.stack = EMPTY_STACK
-
-
-class _Seq(Descriptor1):
-    __slots__ = ("items", "arity")
-
-    def __init__(self, items: tuple):
-        self.items = items
-        self.arity = sum(d.arity for d in items)
-
-    def run_print(self, state):
-        for d in self.items:
-            d.run_print(state)
-
-    def run_parse(self, state):
-        for d in self.items:
-            d.run_parse(state)
-
-
-class _Satisfy(Descriptor1):
-    __slots__ = ("pred", "label")
-    arity = 1
-
-    def __init__(self, pred: Callable[[str], bool], label: str):
-        self.pred = pred
-        self.label = label
-
-    def run_print(self, state):
-        c = state.pop_char(self.label)
-        if not self.pred(c):
-            raise ContractViolation(
-                f"argument {state.consumed}: {c!r} does not satisfy {self.label}")
-        state.chunks.append(c)
-
-    def run_parse(self, state):
-        if state.pos >= len(state.text):
-            raise ContractViolation(f"{self.label}: ran out of input")
-        c = state.text[state.pos]
-        if not self.pred(c):
-            raise ContractViolation(
-                f"{self.label}: unexpected {c!r} at offset {state.pos}")
-        state.pos += 1
-        state.stack = state.stack.deliver(Char(c))
-
-
-class _Lit(Descriptor1):
-    __slots__ = ("text",)
-    arity = 0
-
-    def __init__(self, text: str):
-        self.text = text
-
-    def run_print(self, state):
-        state.chunks.append(self.text)
-
-    def run_parse(self, state):
-        if not state.text.startswith(self.text, state.pos):
-            found = state.text[state.pos:state.pos + len(self.text)]
-            raise ContractViolation(
-                f"literal {self.text!r}: found {found!r} at offset {state.pos}")
-        state.pos += len(self.text)
-
-
-class _IsoLift(Descriptor1):
-    __slots__ = ("iso",)
-    arity = 0
-
-    def __init__(self, iso: Iso):
-        self.iso = iso
-
-    def run_print(self, state):
-        v, state.stack = state.stack.pop()
-        state.stack = state.stack.push(self.iso.to(v))
-
-    def run_parse(self, state):
-        iso = self.iso
-        state.stack = state.stack.open_frame(iso.name, 1, lambda xs: iso.from_(xs[0]))
-
-
-class _PairLead(Descriptor1):
-    __slots__ = ()
-    arity = -1
-
-    def run_print(self, state):
-        v, state.stack = state.stack.pop()
-        if not isinstance(v, Pair):
-            raise ContractViolation(f"pair lead wants a Pair, got {v!r}")
-        state.stack = state.stack.push(v.second).push(v.first)
-
-    def run_parse(self, state):
-        state.stack = state.stack.open_frame("pair", 2, lambda xs: Pair(xs[0], xs[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -165,60 +41,41 @@ class _PairLead(Descriptor1):
 
 def identity() -> Descriptor1:
     """The empty splice: emits nothing, consumes nothing."""
-    return _Seq(())
+    return Descriptor1((), 0)
 
 
 def compose(*descriptors: Descriptor1) -> Descriptor1:
     """Splice descriptors; both sides run left to right."""
-    items = []
-    for d in descriptors:
-        if isinstance(d, _Seq):
-            items.extend(d.items)
-        else:
-            items.append(d)
-    return _Seq(tuple(items))
+    return Descriptor1(tuple(node for d in descriptors for node in d.nodes),
+                       sum(d.arity for d in descriptors))
 
 
 def satisfy(pred: Callable[[str], bool], label: str = "satisfy") -> Descriptor1:
     """One character passing `pred`: parse pushes it, print pops it."""
-    return _Satisfy(pred, label)
+    return Descriptor1((tier2.satisfy(pred, label),), 1)
 
 
 def lit(text: str) -> Descriptor1:
     """A fixed literal; touches no values."""
-    return _Lit(text)
+    return Descriptor1((tier2.lit(text),), 0)
 
 
 def iso_lift(iso: Iso) -> Descriptor1:
     """Map the value at the top of the stack through an isomorphism."""
-    return _IsoLift(iso)
+    return Descriptor1((tier2.iso_lift(iso),), 0)
 
 
 def pair_lead() -> Descriptor1:
     """Split a Pair into its components (print) or rebuild one (parse)."""
-    return _PairLead()
+    return Descriptor1((tier2.pair_lead(),), -1)
 
 
 def char() -> Descriptor1:
     return satisfy(lambda c: True, "char")
 
 
-def digit_iso() -> Iso:
-    """A one-digit Int against its decimal character."""
-    def to(v: Value) -> Value:
-        if not isinstance(v, Int):
-            raise ContractViolation(f"digit wants an Int, got {v!r}")
-        return Char(str(v.n)[0])
-
-    def from_(v: Value) -> Value:
-        assert isinstance(v, Char)
-        return Int(int(v.c))
-
-    return Iso("digit", to, from_)
-
-
 def digit() -> Descriptor1:
-    return iso_lift(digit_iso()) + satisfy(_is_ascii_digit, "digit")
+    return iso_lift(digit_iso()) + satisfy(is_ascii_digit, "digit")
 
 
 def nth_char_format() -> Descriptor1:
@@ -236,12 +93,25 @@ def sprintf(d: Descriptor1, args: Sequence[Value]) -> str:
     if len(args) != d.arity:
         raise ContractViolation(
             f"descriptor takes {d.arity} arguments, got {len(args)}")
-    state = _PrintState(stack_of(args))
-    d.run_print(state)
-    if not state.stack.is_empty():
+    out = []
+    stack = stack_of(args)
+    nth = 0  # argument slots reached so far, for diagnostics
+    for node in d.nodes:
+        if type(node) is _Satisfy:
+            nth += 1
+            v = stack.pop()[0]
+            if not isinstance(v, Char):
+                raise ContractViolation(
+                    f"argument {nth}: {node.label} wants a Char, got {v!r}")
+        moved = node.print_step(out, len(out), stack)
+        if moved is None:  # only a satisfy whose predicate rejects fails
+            raise ContractViolation(
+                f"argument {nth}: {v.c!r} does not satisfy {node.label}")
+        stack = moved[1]
+    if not stack.is_empty():
         raise ContractViolation(
-            f"{state.stack.size} unconsumed arguments after printing")
-    return "".join(state.chunks)
+            f"{stack.size} unconsumed arguments after printing")
+    return "".join(out)
 
 
 def sscanf(d: Descriptor1, text: str) -> tuple:
@@ -249,6 +119,21 @@ def sscanf(d: Descriptor1, text: str) -> tuple:
 
     Input beyond what the descriptor consumes is ignored.
     """
-    state = _ParseState(text)
-    d.run_parse(state)
-    return tuple(reversed(state.stack.values()))
+    pos = 0
+    stack = EMPTY_STACK
+    for node in d.nodes:
+        moved = node.parse_step(text, pos, stack)
+        if moved is None:
+            raise ContractViolation(_scan_failure(node, text, pos))
+        pos, stack = moved
+    return tuple(reversed(stack.values()))
+
+
+def _scan_failure(node, text: str, pos: int) -> str:
+    """The message for a literal or satisfy leaf that failed at `pos`."""
+    if type(node) is _Lit:
+        found = text[pos:pos + len(node.text)]
+        return f"literal {node.text!r}: found {found!r} at offset {pos}"
+    if pos >= len(text):
+        return f"{node.label}: ran out of input"
+    return f"{node.label}: unexpected {text[pos]!r} at offset {pos}"

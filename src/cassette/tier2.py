@@ -28,10 +28,6 @@ from .values import (
 )
 
 
-def _is_ascii_digit(c: str) -> bool:
-    return "0" <= c <= "9"
-
-
 class Descriptor2:
     """A print/parse pair with failure and choice.
 
@@ -44,8 +40,7 @@ class Descriptor2:
     def __add__(self, other: "Descriptor2") -> "Descriptor2":
         return compose(self, other)
 
-    def __rshift__(self, other: "Descriptor2") -> "Descriptor2":
-        return compose(self, other)
+    __rshift__ = __add__
 
     def __or__(self, other: "Descriptor2") -> "Descriptor2":
         return choice(self, other)
@@ -66,8 +61,20 @@ class _Alt(Descriptor2):
         self.right = right
 
 
+# Leaves.  Each has a parse step and a print step of one shape,
+# `(io, cursor, stack) -> (cursor, stack) | None`, None being failure.
+# Parsing reads the text `io` at offset `cursor`; printing appends to the
+# chunk list `io`, of which `cursor` have been emitted so far.
+
+
 class _Fail(Descriptor2):
     __slots__ = ()
+
+    def parse_step(self, text, pos, stack):
+        return None
+
+    def print_step(self, out, n, stack):
+        return None
 
 
 class _Satisfy(Descriptor2):
@@ -77,6 +84,20 @@ class _Satisfy(Descriptor2):
         self.pred = pred
         self.label = label
 
+    def parse_step(self, text, pos, stack):
+        if pos < len(text) and self.pred(text[pos]):
+            return pos + 1, stack.deliver(Char(text[pos]))
+        return None
+
+    def print_step(self, out, n, stack):
+        v, rest = stack.pop()
+        if not isinstance(v, Char):
+            raise ContractViolation(f"{self.label} wants a Char, got {v!r}")
+        if not self.pred(v.c):
+            return None
+        out.append(v.c)
+        return n + 1, rest
+
 
 class _Lit(Descriptor2):
     __slots__ = ("text", "unit")
@@ -85,12 +106,35 @@ class _Lit(Descriptor2):
         self.text = text
         self.unit = unit
 
+    def parse_step(self, text, pos, stack):
+        if not text.startswith(self.text, pos):
+            return None
+        if self.unit:
+            stack = stack.deliver(Unit())
+        return pos + len(self.text), stack
+
+    def print_step(self, out, n, stack):
+        if self.unit:
+            v, stack = stack.pop()
+            if not isinstance(v, Unit):
+                raise ContractViolation(f"lit_unit wants a Unit, got {v!r}")
+        out.append(self.text)
+        return n + 1, stack
+
 
 class _IsoLift(Descriptor2):
     __slots__ = ("iso",)
 
     def __init__(self, iso: Iso):
         self.iso = iso
+
+    def parse_step(self, text, pos, stack):
+        iso = self.iso
+        return pos, stack.open_frame(iso.name, 1, lambda xs: iso.from_(xs[0]))
+
+    def print_step(self, out, n, stack):
+        v, stack = stack.pop()
+        return n, stack.push(self.iso.to(v))
 
 
 class _PrismLead(Descriptor2):
@@ -99,9 +143,31 @@ class _PrismLead(Descriptor2):
     def __init__(self, prism: Prism):
         self.prism = prism
 
+    def parse_step(self, text, pos, stack):
+        p = self.prism
+        return pos, stack.open_frame(p.tag, p.arity, p.review)
+
+    def print_step(self, out, n, stack):
+        v, stack = stack.pop()
+        components = self.prism.preview(v)
+        if components is None:
+            return None
+        for c in reversed(components):
+            stack = stack.push(c)
+        return n, stack
+
 
 class _PairLead(Descriptor2):
     __slots__ = ()
+
+    def parse_step(self, text, pos, stack):
+        return pos, stack.open_frame("pair", 2, lambda xs: Pair(xs[0], xs[1]))
+
+    def print_step(self, out, n, stack):
+        v, stack = stack.pop()
+        if not isinstance(v, Pair):
+            raise ContractViolation(f"pair lead wants a Pair, got {v!r}")
+        return n, stack.push(v.second).push(v.first)
 
 
 class _Defer(Descriptor2):
@@ -160,9 +226,28 @@ def char() -> Descriptor2:
     return satisfy(lambda c: True, "char")
 
 
+def is_ascii_digit(c: str) -> bool:
+    return "0" <= c <= "9"
+
+
+def digit_iso() -> Iso:
+    """A one-digit Int against its decimal character."""
+    def to(v: Value) -> Value:
+        if not isinstance(v, Int):
+            raise ContractViolation(f"digit wants an Int, got {v!r}")
+        if not 0 <= v.n <= 9:
+            raise ContractViolation(f"digit wants 0 to 9, got {v!r}")
+        return Char(str(v.n))
+
+    def from_(v: Value) -> Value:
+        assert isinstance(v, Char)
+        return Int(int(v.c))
+
+    return Iso("digit", to, from_)
+
+
 def digit() -> Descriptor2:
-    from .tier1 import digit_iso
-    return iso_lift(digit_iso()) + satisfy(_is_ascii_digit, "digit")
+    return iso_lift(digit_iso()) + satisfy(is_ascii_digit, "digit")
 
 
 def lit(text: str) -> Descriptor2:
@@ -233,130 +318,70 @@ def int_text_iso() -> Iso:
 
 def integer() -> Descriptor2:
     """A maximal non-empty digit run as a non-negative Int."""
-    return iso_lift(int_text_iso()) + some(satisfy(_is_ascii_digit, "digit"))
+    return iso_lift(int_text_iso()) + some(satisfy(is_ascii_digit, "digit"))
 
 
 # ---------------------------------------------------------------------------
 # The machine
 #
 # The remaining program is a cons list of nodes; a choice point snapshots
-# (program, position-or-emitted-length, stack) so failure can rewind.
+# (program, cursor, stack) so failure can rewind, to fewer chunks if printing.
+
+_LEAVES = (_Fail, _Satisfy, _Lit, _IsoLift, _PrismLead, _PairLead)
+_PARSE_STEPS = {leaf: leaf.parse_step for leaf in _LEAVES}
+_PRINT_STEPS = {leaf: leaf.print_step for leaf in _LEAVES}
+
+
+def _run(d: Descriptor2, io, stack, printing: bool) -> Optional[tuple]:
+    steps = _PRINT_STEPS if printing else _PARSE_STEPS
+    work = (d, None)
+    cursor = 0
+    alts = []
+    while True:
+        if work is None:
+            return cursor, stack
+        node, work = work
+        kind = type(node)
+        step = steps.get(kind)
+        if step is not None:
+            moved = step(node, io, cursor, stack)
+            if moved is not None:
+                cursor, stack = moved
+                continue
+        elif kind is _Seq:
+            for item in reversed(node.items):
+                work = (item, work)
+            continue
+        elif kind is _Alt:
+            alts.append(((node.right, work), cursor, stack))
+            work = (node.left, work)
+            continue
+        elif kind is _Defer:
+            work = (node.force(), work)
+            continue
+        else:
+            raise ContractViolation(f"not a descriptor: {node!r}")
+        # failure: rewind to the newest choice point
+        if not alts:
+            return None
+        work, cursor, stack = alts.pop()
+        if printing:
+            del io[cursor:]
 
 
 def run_parse(d: Descriptor2, text: str,
               seed: Sequence[Value] = ()) -> Optional[tuple]:
     """Parse a prefix of `text`; (end position, final stack) or None."""
-    work = (d, None)
-    pos = 0
-    stack = stack_of(seed)
-    alts = []
-    while True:
-        if work is None:
-            return pos, stack
-        node, rest = work
-        work = rest
-        if isinstance(node, _Seq):
-            for item in reversed(node.items):
-                work = (item, work)
-            continue
-        if isinstance(node, _Alt):
-            alts.append(((node.right, work), pos, stack))
-            work = (node.left, work)
-            continue
-        if isinstance(node, _Defer):
-            work = (node.force(), work)
-            continue
-        if isinstance(node, _Satisfy):
-            if pos < len(text) and node.pred(text[pos]):
-                stack = stack.deliver(Char(text[pos]))
-                pos += 1
-                continue
-        elif isinstance(node, _Lit):
-            if text.startswith(node.text, pos):
-                pos += len(node.text)
-                if node.unit:
-                    stack = stack.deliver(Unit())
-                continue
-        elif isinstance(node, _IsoLift):
-            iso = node.iso
-            stack = stack.open_frame(iso.name, 1, lambda xs, iso=iso: iso.from_(xs[0]))
-            continue
-        elif isinstance(node, _PrismLead):
-            p = node.prism
-            stack = stack.open_frame(p.tag, p.arity, p.review)
-            continue
-        elif isinstance(node, _PairLead):
-            stack = stack.open_frame("pair", 2, lambda xs: Pair(xs[0], xs[1]))
-            continue
-        elif not isinstance(node, _Fail):
-            raise ContractViolation(f"not a descriptor: {node!r}")
-        # failure: rewind to the newest choice point
-        if not alts:
-            return None
-        work, pos, stack = alts.pop()
+    return _run(d, text, stack_of(seed), printing=False)
 
 
 def run_print(d: Descriptor2, seed: Sequence[Value] = ()) -> Optional[tuple]:
     """Print from a seeded stack; (emitted text, final stack) or None."""
-    work = (d, None)
-    chunks = []
-    stack = stack_of(seed)
-    alts = []
-    while True:
-        if work is None:
-            return "".join(chunks), stack
-        node, rest = work
-        work = rest
-        if isinstance(node, _Seq):
-            for item in reversed(node.items):
-                work = (item, work)
-            continue
-        if isinstance(node, _Alt):
-            alts.append(((node.right, work), len(chunks), stack))
-            work = (node.left, work)
-            continue
-        if isinstance(node, _Defer):
-            work = (node.force(), work)
-            continue
-        if isinstance(node, _Satisfy):
-            v, popped = stack.pop()
-            if not isinstance(v, Char):
-                raise ContractViolation(f"{node.label} wants a Char, got {v!r}")
-            if node.pred(v.c):
-                stack = popped
-                chunks.append(v.c)
-                continue
-        elif isinstance(node, _Lit):
-            if node.unit:
-                v, stack = stack.pop()
-                if not isinstance(v, Unit):
-                    raise ContractViolation(f"lit_unit wants a Unit, got {v!r}")
-            chunks.append(node.text)
-            continue
-        elif isinstance(node, _IsoLift):
-            v, stack = stack.pop()
-            stack = stack.push(node.iso.to(v))
-            continue
-        elif isinstance(node, _PrismLead):
-            v, popped = stack.pop()
-            components = node.prism.preview(v)
-            if components is not None:
-                stack = popped
-                for c in reversed(components):
-                    stack = stack.push(c)
-                continue
-        elif isinstance(node, _PairLead):
-            v, stack = stack.pop()
-            if not isinstance(v, Pair):
-                raise ContractViolation(f"pair lead wants a Pair, got {v!r}")
-            stack = stack.push(v.second).push(v.first)
-            continue
-        elif not isinstance(node, _Fail):
-            raise ContractViolation(f"not a descriptor: {node!r}")
-        if not alts:
-            return None
-        work, n, stack = alts.pop()
-        del chunks[n:]
+    out = []
+    result = _run(d, out, stack_of(seed), printing=True)
+    if result is None:
+        return None
+    return "".join(out), result[1]
 
 
 def parse(d: Descriptor2, text: str) -> Optional[Value]:

@@ -38,6 +38,29 @@ def test_unknown_flags_are_rejected():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["fmt", "print", "12", "a", "f"],
+    ["fmt", "print", "--", "-3", "a", "f"],
+    ["fmt", "--tier", "3", "print", "12", "a", "f"],
+    ["fmt", "--tier", "3", "print", "--", "-3", "a", "f"],
+], ids=["t1_12", "t1_minus3", "t3_12", "t3_minus3"])
+def test_fmt_print_refuses_a_digit_out_of_range(argv):
+    proc = run_cli(argv)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode("utf-8").splitlines()
+    assert len(lines) == 1 and lines[0].startswith("format violation: digit")
+
+
+def test_pretty_refuses_an_unprintable_identifier_on_both_engines():
+    for engine in ("cassette", "stacked"):
+        for tree in ('{"Var":"1x"}', '{"Var":"b."}'):
+            proc = run_cli(["pretty", "--engine", engine], tree + "\n")
+            assert proc.returncode == 1, (engine, tree)
+            assert proc.stdout == b""
+            assert proc.stderr == b"pretty failed: term has no printable form\n"
+
+
 def test_corpus_runner_reports_failures():
     import tempfile
     with tempfile.TemporaryDirectory() as d:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from cassette import lam, tier2, stacked
 from cassette.values import Adt, ContractViolation, Int, Text
@@ -72,6 +73,32 @@ def test_engines_agree_on_the_full_corpus():
     for t in [Adt("Bogus", ()), lam.var("")]:
         assert lam.pretty_term(t, "cassette") is None
         assert lam.pretty_term(t, "stacked") is None
+
+
+# Identifiers mix printable ones with empty, digit-first, spaced, "λ",
+# "." and non-ASCII ones, which no engine may print.
+IDENTS = hs.one_of(
+    hs.from_regex(r"[A-Za-z][A-Za-z0-9]{0,3}", fullmatch=True),
+    hs.text(alphabet="ab1 λ.(Zé_", max_size=4),
+    hs.text(max_size=3),
+)
+TERMS_BY_DEPTH = [IDENTS.map(lam.var)]
+for _ in range(6):
+    _sub = TERMS_BY_DEPTH[-1]
+    TERMS_BY_DEPTH.append(hs.one_of(
+        IDENTS.map(lam.var),
+        hs.builds(lam.abs_, IDENTS, _sub),
+        hs.builds(lam.app, _sub, _sub)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(TERMS_BY_DEPTH[-1])
+def test_engines_agree_on_arbitrary_terms(t):
+    printed = lam.pretty_term(t, "cassette")
+    assert lam.pretty_term(t, "stacked") == printed
+    if printed is not None:
+        for engine in lam.ENGINES:
+            assert lam.parse_term(printed, engine) == t, engine
 
 
 def test_print_parse_coherence_on_the_corpus():

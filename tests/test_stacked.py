@@ -77,6 +77,24 @@ def test_digit_converts_on_both_sides():
     assert st.lin_digit().pa("7", 0) == (Int(7), 1)
 
 
+def test_digit_refuses_values_outside_0_to_9():
+    for n in (10, 12, -1, -3):
+        with pytest.raises(ContractViolation, match="digit wants 0 to 9"):
+            st.run_linear_print(st.lin_digit(), [Int(n)])
+        with pytest.raises(ContractViolation, match="digit wants 0 to 9"):
+            st.sprintf(st.nth_char_format(), [Int(n), Char("a"), Char("f")])
+
+
+def test_satisfy_print_refuses_a_char_its_predicate_rejects():
+    with pytest.raises(ContractViolation, match="does not satisfy"):
+        st.run_linear_print(st.lin_satisfy(str.isalpha, "letter"), [Char("1")])
+    letter = st.alt_satisfy(str.isalpha, "letter")
+    assert st.run_choice_print(letter, [Char("1")]) is None
+    # the rejected char is restored for the next alternative
+    got = st.run_choice_print(letter | st.alt_satisfy(str.isdigit), [Char("1")])
+    assert got is not None and got[0] == "1" and got[2].is_empty()
+
+
 def test_linear_format_prints_the_reference_line():
     got = st.sprintf(st.nth_char_format(), [Int(5), Char("a"), Char("f")])
     assert got == "5-th character after a is f"
@@ -301,12 +319,10 @@ def test_many_prints_lists():
     letter = st.alt_satisfy(str.isalpha, "letter")
     assert st.pretty(st.alt_many(letter), chars("abc")) == "abc"
     assert st.pretty(st.alt_many(letter), chars("")) == ""
-    # the print side of satisfy never looks at its predicate: any Char
-    # in the list is emitted as-is
-    assert st.pretty(st.alt_many(letter), chars("a1")) == "a1"
-    # the empty case is "drop whatever is on top", so a non-list value
-    # prints as nothing rather than failing
-    assert st.pretty(st.alt_many(letter), Text("abc")) == ""
+    # the print side of satisfy checks its predicate
+    assert st.pretty(st.alt_many(letter), chars("a1")) is None
+    # the empty case matches only the empty list
+    assert st.pretty(st.alt_many(letter), Text("abc")) is None
 
 
 def test_lit_parse_fails_recoverably():

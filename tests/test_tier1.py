@@ -85,6 +85,14 @@ def test_digit_print_uses_decimal_rendering():
         assert tier1.sprintf(tier1.digit(), [Int(n)]) == str(n)
 
 
+def test_digit_refuses_values_outside_0_to_9():
+    for n in (10, 12, -1, -3):
+        with pytest.raises(ContractViolation, match="digit wants 0 to 9"):
+            tier1.digit_iso().to(Int(n))
+        with pytest.raises(ContractViolation, match="digit wants 0 to 9"):
+            tier1.sprintf(tier1.nth_char_format(), [Int(n), Char("a"), Char("f")])
+
+
 def test_pair_lead_splits_and_rebuilds():
     d = tier1.pair_lead() + tier1.digit() + tier1.char()
     assert tier1.sprintf(d, [Pair(Int(1), Char("a"))]) == "1a"
