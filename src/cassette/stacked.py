@@ -29,6 +29,11 @@ Answers (the things continuations return) are realized as computations
 that consume the runtime value stack.  `consume` and `supply` convert
 between "function of the top value" and "answer", which is all the
 curried answer types of the typed presentation amount to.
+
+Actions are staged: `ap`, `left`, `right` and `map` wire both actions'
+sides together once, when the action is built, and leaves print and
+match directly, literals whole.  Running a grammar built from these
+builds no further actions; only `bind` makes its next action per value.
 """
 
 from __future__ import annotations
@@ -97,24 +102,22 @@ def _pop_char(v: Value) -> str:
 
 
 class _Applicative:
-    """Sequencing derived from `ret` and `bind`, shared by both variants.
+    """Sequencing shared by both variants; each variant's `_seq(other,
+    combine)` wires the two actions together when the action is built.
 
     `a @ b` applies, `a << b` keeps the left result, `a >> b` the right.
     """
 
     __slots__ = ()
 
-    def map(self, g):
-        return self.bind(lambda a: self.ret(g(a)))
-
     def ap(self, other):
-        return self.bind(lambda g: other.bind(lambda a: self.ret(g(a))))
+        return self._seq(other, lambda g, a: g(a))
 
     def left(self, other):
-        return self.map(lambda a: lambda _u: a).ap(other)
+        return self._seq(other, lambda a, _b: a)
 
     def right(self, other):
-        return self.map(lambda _a: lambda b: b).ap(other)
+        return self._seq(other, lambda _a, b: b)
 
     __matmul__ = ap
     __lshift__ = left
@@ -154,46 +157,63 @@ class Linear(_Applicative):
 
         return Linear(pr, pa)
 
+    def map(self, g) -> "Linear":
+        pr1, pa1 = self.pr, self.pa
 
-def _lin_shift(f: Callable[[Answer], Linear]) -> Linear:
-    """Expose the continuation-as-answer to f; unit result, parse no-op."""
-    def pr(wk):
-        k = wk.extract()(Unit())
-        return f(k).pr(TracedK(lambda _total: lambda y: y))
+        def pr(wk):
+            return pr1(wk.fmap(lambda k: lambda a: k(g(a))))
 
-    return Linear(pr, lambda s, i: (Unit(), i))
+        def pa(s, i):
+            a, j = pa1(s, i)
+            return g(a), j
 
+        return Linear(pr, pa)
 
-def _lin_shiftw(f) -> Linear:
-    """Like `_lin_shift` but hands f the full value continuation."""
-    def pr(wk):
-        return f(wk.extract()).pr(TracedK(lambda _total: lambda y: y))
+    def _seq(self, other: "Linear", combine) -> "Linear":
+        """`self` then `other`, results joined by `combine`: binding both
+        and returning `combine(a, b)`, wired once."""
+        pr1, pa1, pr2, pa2 = self.pr, self.pa, other.pr, other.pa
 
-    def pa(s, i):
-        raise ContractViolation("this action has no parse side")
+        def pr(wk):
+            return pr1(wk.extend(lambda wk2: lambda a: pr2(
+                wk2.fmap(lambda k: lambda b: k(combine(a, b))))))
 
-    return Linear(pr, pa)
+        def pa(s, i):
+            a, j = pa1(s, i)
+            b, j = pa2(s, j)
+            return combine(a, b), j
 
-
-def lin_push(v: Value) -> Linear:
-    """Print side pushes v; parse side does nothing."""
-    return _lin_shift(lambda k: Linear.ret(supply(k, v)))
-
-
-def lin_pop_() -> Linear:
-    """Print side drops the top value; parse side does nothing."""
-    return _lin_shift(lambda k: Linear.ret(consume(lambda _v: k)))
+        return Linear(pr, pa)
 
 
 def lin_stack_map(rewrite: Callable[[Answer], Answer]) -> Linear:
     """Rewrite the print-side stack; `rewrite` maps the continuation's
-    answer over the stack it expects."""
-    return _lin_shift(lambda k: Linear.ret(rewrite(k)))
+    answer over the stack it expects.  Unit result, parse no-op."""
+    return Linear(lambda wk: rewrite(wk.extract()(Unit())),
+                  lambda s, i: (Unit(), i))
+
+
+def _lin_shiftw(f) -> Linear:
+    """Like `lin_stack_map` but hands f the full value continuation."""
+    def pa(s, i):
+        raise ContractViolation("this action has no parse side")
+
+    return Linear(lambda wk: f(wk.extract()), pa)
+
+
+def lin_push(v: Value) -> Linear:
+    """Print side pushes v; parse side does nothing."""
+    return lin_stack_map(lambda k: supply(k, v))
+
+
+def lin_pop_() -> Linear:
+    """Print side drops the top value; parse side does nothing."""
+    return lin_stack_map(lambda k: consume(lambda _v: k))
 
 
 def lin_pop() -> Linear:
     """Print side pops and returns the top value.  Print side only."""
-    return _lin_shiftw(lambda k: Linear.ret(consume(lambda a: k(a))))
+    return _lin_shiftw(consume)
 
 
 def lin_curry_stack() -> Linear:
@@ -204,21 +224,19 @@ def lin_curry_stack() -> Linear:
 
 def lin_emit(chunk: str) -> Linear:
     """Append text to the print output; parse side does nothing."""
-    def pr(wk):
-        return wk.fmap(lambda content: content(Unit())).trace(chunk)
-
-    return Linear(pr, lambda s, i: (Unit(), i))
+    return Linear(lambda wk: wk.trace(chunk)(Unit()),
+                  lambda s, i: (Unit(), i))
 
 
 def lin_satisfy(pred: Callable[[str], bool], label: str = "satisfy") -> Linear:
     """Print pops a Char and emits it; parse consumes one passing char.
     A char the predicate rejects is a violation on both sides."""
-    def print_char(c):
-        if not pred(_pop_char(c)):
-            raise ContractViolation(f"{c.c!r} does not satisfy {label}")
-        return lin_emit(c.c).right(Linear.ret(c))
-
-    print_side = lin_pop().bind(print_char)
+    def pr(wk):
+        def print_char(c):
+            if not pred(_pop_char(c)):
+                raise ContractViolation(f"{c.c!r} does not satisfy {label}")
+            return wk.trace(c.c)(c)
+        return consume(print_char)
 
     def pa(s, i):
         if i < len(s) and pred(s[i]):
@@ -226,17 +244,26 @@ def lin_satisfy(pred: Callable[[str], bool], label: str = "satisfy") -> Linear:
         found = s[i] if i < len(s) else "end of input"
         raise ContractViolation(f"{label}: unexpected {found!r} at offset {i}")
 
-    return Linear(print_side.pr, pa)
+    return Linear(pr, pa)
 
 
 def lin_lit(text: str) -> Linear:
-    """A literal; each char is pushed before printing so no argument is
-    needed.  Unit result."""
+    """A literal, printed and matched whole, so no argument is needed.
+    Unit result.  A mismatch names the first char that differs."""
     if not text:
         return Linear.ret(Unit())
-    c, rest = text[0], text[1:]
-    return lin_push(Char(c)).right(lin_satisfy(lambda x: x == c, f"lit {c!r}")) \
-        .bind(lambda _c: lin_lit(rest))
+
+    def pa(s, i):
+        if s.startswith(text, i):
+            return Unit(), i + len(text)
+        j = i
+        while j < len(s) and s[j] == text[j - i]:
+            j += 1
+        found = s[j] if j < len(s) else "end of input"
+        raise ContractViolation(
+            f"lit {text[j - i]!r}: unexpected {found!r} at offset {j}")
+
+    return Linear(lin_emit(text).pr, pa)
 
 
 def lin_char() -> Linear:
@@ -270,6 +297,14 @@ class Choice(_Applicative):
     `pr(wrapped_continuation, failure_answer) -> answer`;
     `pa(text, i) -> (result, i') or None`.  `a | b` falls back to b on
     failure of a, restoring input, output and stack.
+
+    Choice is committed on the parse side, as in a PEG: once `a` has
+    parsed, `a | b` never tries `b`, even if what follows `a | b` then
+    fails.  So `(alt_lit("a") | alt_lit("ab")) >> alt_lit("c")` rejects
+    "abc", which tier 2, backtracking into every alternative, accepts.
+    The print side retries `b` on any later failure.  Grammars whose
+    alternatives start with different chars, like the λ grammar, are
+    unaffected.
     """
 
     __slots__ = ("pr", "pa")
@@ -302,15 +337,49 @@ class Choice(_Applicative):
 
         return Choice(pr, pa)
 
+    def map(self, g) -> "Choice":
+        pr1, pa1 = self.pr, self.pa
+
+        def pr(wk, fl):
+            return pr1(wk.fmap(lambda k: lambda a: k(g(a))), fl)
+
+        def pa(s, i):
+            r = pa1(s, i)
+            return None if r is None else (g(r[0]), r[1])
+
+        return Choice(pr, pa)
+
+    def _seq(self, other: "Choice", combine) -> "Choice":
+        """`self` then `other`, results joined by `combine`: binding both
+        and returning `combine(a, b)`, wired once."""
+        pr1, pa1, pr2, pa2 = self.pr, self.pa, other.pr, other.pa
+
+        def pr(wk, fl):
+            return pr1(wk.extend(lambda wk2: lambda a: lambda fl2: pr2(
+                wk2.fmap(lambda k: lambda b: k(combine(a, b))), fl2)), fl)
+
+        def pa(s, i):
+            r = pa1(s, i)
+            if r is None:
+                return None
+            r2 = pa2(s, r[1])
+            if r2 is None:
+                return None
+            return combine(r[0], r2[0]), r2[1]
+
+        return Choice(pr, pa)
+
     def alt(self, other: "Choice") -> "Choice":
+        pr1, pa1, pr2, pa2 = self.pr, self.pa, other.pr, other.pa
+
         def pr(wk, fl):
             # the untried branch is the failure answer of the first one;
             # built lazily so cyclic grammars stay finite
-            return self.pr(wk, lambda stack: other.pr(wk, fl)(stack))
+            return pr1(wk, lambda stack: pr2(wk, fl)(stack))
 
         def pa(s, i):
-            r = self.pa(s, i)
-            return r if r is not None else other.pa(s, i)
+            r = pa1(s, i)
+            return r if r is not None else pa2(s, i)
 
         return Choice(pr, pa)
 
@@ -318,40 +387,32 @@ class Choice(_Applicative):
 
 
 def _alt_shift(f) -> Choice:
-    """f(success: answer -> answer, failure: answer) -> pure Choice."""
-    def pr(wk, fl):
-        k = wk.extract()(Unit())
-        return f(k, fl).pr(TracedK(lambda _t: lambda x: lambda _fl: x), fl)
-
-    return Choice(pr, lambda s, i: (Unit(), i))
+    """f(success: answer -> answer, failure: answer) -> answer; unit
+    result, parse no-op."""
+    return Choice(lambda wk, fl: f(wk.extract()(Unit()), fl),
+                  lambda s, i: (Unit(), i))
 
 
 def _alt_shiftw(f) -> Choice:
-    def pr(wk, fl):
-        return f(wk.extract(), fl).pr(TracedK(lambda _t: lambda x: lambda _fl: x), fl)
-
     def pa(s, i):
         raise ContractViolation("this action has no parse side")
 
-    return Choice(pr, pa)
+    return Choice(lambda wk, fl: f(wk.extract(), fl), pa)
 
 
 def alt_push(v: Value) -> Choice:
     """Push on the print side; on later failure the value is dropped again."""
-    return _alt_shift(
-        lambda k, fl: Choice.ret(supply(k(consume(lambda _v: fl)), v)))
+    return _alt_shift(lambda k, fl: supply(k(consume(lambda _v: fl)), v))
 
 
 def alt_pop_() -> Choice:
     """Drop the print-side top; on later failure it is pushed back."""
-    return _alt_shift(
-        lambda k, fl: Choice.ret(consume(lambda a: k(supply(fl, a)))))
+    return _alt_shift(lambda k, fl: consume(lambda a: k(supply(fl, a))))
 
 
 def alt_pop() -> Choice:
     """Pop and return the print-side top; restored on later failure."""
-    return _alt_shiftw(
-        lambda k, fl: Choice.ret(consume(lambda a: k(a)(supply(fl, a)))))
+    return _alt_shiftw(lambda k, fl: consume(lambda a: k(a)(supply(fl, a))))
 
 
 def alt_stack_guard(rewrite, unroll) -> Choice:
@@ -362,41 +423,42 @@ def alt_stack_guard(rewrite, unroll) -> Choice:
     failure; `unroll(failure)` rebuilds the original stack from the
     components if a later alternative has to retry.
     """
-    return _alt_shift(
-        lambda k, fl: Choice.ret(rewrite(fl, k(unroll(fl)))))
+    return _alt_shift(lambda k, fl: rewrite(fl, k(unroll(fl))))
 
 
 def alt_emit(chunk: str) -> Choice:
-    def pr(wk, fl):
-        return wk.fmap(lambda content: content(Unit())).trace(chunk)(fl)
-
-    return Choice(pr, lambda s, i: (Unit(), i))
+    return Choice(lambda wk, fl: wk.trace(chunk)(Unit())(fl),
+                  lambda s, i: (Unit(), i))
 
 
 def alt_satisfy(pred, label: str = "satisfy") -> Choice:
     """Print pops a Char and emits it; either side fails recoverably on
     a char the predicate rejects."""
-    def print_char(c):
-        if not pred(_pop_char(c)):
-            return Choice.fail()
-        return alt_emit(c.c).right(Choice.ret(c))
-
-    print_side = alt_pop().bind(print_char)
+    def pr(wk, fl):
+        def print_char(c):
+            restore = supply(fl, c)
+            if not pred(_pop_char(c)):
+                return restore
+            return wk.trace(c.c)(c)(restore)
+        return consume(print_char)
 
     def pa(s, i):
         if i < len(s) and pred(s[i]):
             return Char(s[i]), i + 1
         return None
 
-    return Choice(print_side.pr, pa)
+    return Choice(pr, pa)
 
 
 def alt_lit(text: str) -> Choice:
+    """A literal, printed and matched whole; Unit result."""
     if not text:
         return Choice.ret(Unit())
-    c, rest = text[0], text[1:]
-    return alt_push(Char(c)).right(alt_satisfy(lambda x: x == c, f"lit {c!r}")) \
-        .bind(lambda _c: alt_lit(rest))
+
+    def pa(s, i):
+        return (Unit(), i + len(text)) if s.startswith(text, i) else None
+
+    return Choice(alt_emit(text).pr, pa)
 
 
 def alt_defer(thunk: Callable[[], Choice]) -> Choice:
@@ -425,18 +487,7 @@ def alt_prism_lead(prism: Prism) -> Choice:
     components (or fails over), the parse side returns the curried
     constructor for the results that follow."""
     arity = prism.arity
-
-    def rewrite(fl, success):
-        def on_top(v):
-            components = prism.preview(v)
-            if components is None:
-                return supply(fl, v)
-            # supplied first means popped first: first component on top
-            answer = success
-            for c in components:
-                answer = supply(answer, c)
-            return answer
-        return consume(on_top)
+    constructor = _curried(prism.review, arity)
 
     def unroll(fl):
         def collect(got):
@@ -445,8 +496,21 @@ def alt_prism_lead(prism: Prism) -> Choice:
             return consume(lambda v: collect(got + (v,)))
         return collect(())
 
-    return alt_stack_guard(rewrite, unroll).right(
-        Choice.ret(_curried(prism.review, arity)))
+    def pr(wk, fl):
+        def on_top(v):
+            components = prism.preview(v)
+            if components is None:
+                return supply(fl, v)
+            # the rest runs only now: before the match, anything it
+            # emits would be emitted by a branch that fails
+            answer = wk.extract()(constructor)(unroll(fl))
+            # supplied first means popped first: first component on top
+            for c in components:
+                answer = supply(answer, c)
+            return answer
+        return consume(on_top)
+
+    return Choice(pr, lambda s, i: (constructor, i))
 
 
 def alt_cons_lead() -> Choice:
@@ -472,34 +536,74 @@ def alt_some(p: Choice) -> Choice:
 # Runners
 #
 # Continuation chains nest one Python frame per emitted or consumed
-# character, so runs happen on a worker thread with a large stack.
+# character, so runs happen on one long-lived worker thread with a large
+# stack, started on first use.  The recursion limit is global to the
+# interpreter, so the worker raises it only for the length of each job:
+# left raised, a deep recursion on another thread would overflow its
+# stack instead of raising RecursionError.
 
 _DEEP_STACK_BYTES = 192 * 1024 * 1024
 _DEEP_LIMIT = 150_000
-_DEEP_LOCK = threading.Lock()
+
+_worker: Optional[threading.Thread] = None
+_jobs = None  # the worker's queue, made with it
+_worker_lock = threading.Lock()
+
+
+def _run_job(fn):
+    """(True, fn()) or (False, what it raised), run under `_DEEP_LIMIT`."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_DEEP_LIMIT)
+    try:
+        return True, fn()
+    except RecursionError:
+        return False, ContractViolation(
+            "term nests too deeply for the stacked engine")
+    except BaseException as e:  # re-raised by the waiting caller
+        return False, e
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _serve(jobs):
+    while True:
+        fn, box, done = jobs.get()
+        box.append(_run_job(fn))
+        done.release()
+
+
+def _start_worker():
+    """Start the worker unless it is running (a forked child has none)."""
+    global _worker, _jobs
+    with _worker_lock:
+        if _worker is None or not _worker.is_alive():
+            # the C queue behind queue.SimpleQueue; importing `queue`
+            # itself would add ~1.5 ms to start-up
+            from _queue import SimpleQueue
+            _jobs = SimpleQueue()
+            old = threading.stack_size(_DEEP_STACK_BYTES)
+            try:
+                _worker = threading.Thread(target=_serve, args=(_jobs,),
+                                           name="cassette-deep-stack", daemon=True)
+                _worker.start()
+            finally:
+                threading.stack_size(old)
 
 
 def _run_deep(fn):
+    if threading.current_thread() is _worker:
+        # a run nested in a job (say, in a predicate): the worker
+        # waiting on itself would never return
+        return fn()
+    if _worker is None or not _worker.is_alive():
+        _start_worker()
+    # each call waits on its own lock, so a caller interrupted while
+    # waiting leaves nothing that a later call could receive
+    done = threading.Lock()
+    done.acquire()
     box = []
-
-    def go():
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(_DEEP_LIMIT)
-        try:
-            box.append((True, fn()))
-        except BaseException as e:
-            box.append((False, e))
-        finally:
-            sys.setrecursionlimit(limit)
-
-    with _DEEP_LOCK:
-        old = threading.stack_size(_DEEP_STACK_BYTES)
-        try:
-            worker = threading.Thread(target=go)
-            worker.start()
-        finally:
-            threading.stack_size(old)
-    worker.join()
+    _jobs.put((fn, box, done))
+    done.acquire()
     ok, payload = box[0]
     if not ok:
         raise payload

@@ -1,8 +1,10 @@
 import random
+import sys
+import threading
 
 import pytest
 
-from cassette import stacked as st
+from cassette import cli, lam, stacked as st, tier2
 from cassette.values import (
     Adt, Bool, Char, ContractViolation, Int, List, Pair, Text, Unit,
     adt_prism, const_prism,
@@ -126,13 +128,13 @@ def lin_probe(action, seeds, texts):
         try:
             text, result, stack = st.run_linear_print(action, seed)
             out.append(("ok", text, result, stack.entries()))
-        except ContractViolation:
-            out.append(("violation",))
+        except ContractViolation as e:
+            out.append(("violation", str(e)))
     for t in texts:
         try:
             out.append(("ok",) + action.pa(t, 0))
-        except ContractViolation:
-            out.append(("violation",))
+        except ContractViolation as e:
+            out.append(("violation", str(e)))
     return out
 
 
@@ -343,8 +345,8 @@ def alt_probe(action, seeds, texts):
             else:
                 text, result, stack = r
                 out.append(("ok", text, result, stack.entries()))
-        except ContractViolation:
-            out.append(("violation",))
+        except ContractViolation as e:
+            out.append(("violation", str(e)))
     for t in texts:
         r = action.pa(t, 0)
         out.append(("fail",) if r is None else ("ok",) + r)
@@ -399,3 +401,232 @@ def test_choice_monoid_laws():
             alt_probe(a, seeds, texts)
         assert alt_probe(a | st.Choice.fail(), seeds, texts) == \
             alt_probe(a, seeds, texts)
+
+
+# ---------------------------------------------------------------------------
+# Staged combinators against the paper's derivations
+
+
+def derived_map(m, g):
+    return m.bind(lambda a: m.ret(g(a)))
+
+
+def derived_ap(m, n):
+    return m.bind(lambda g: n.bind(lambda a: m.ret(g(a))))
+
+
+def derived_left(m, n):
+    return derived_ap(derived_map(m, lambda a: lambda _u: a), n)
+
+
+def derived_right(m, n):
+    return derived_ap(derived_map(m, lambda _a: lambda b: b), n)
+
+
+def derived_lit(push, satisfy, ret, text):
+    """Push each char, then satisfy it: a literal needs no argument."""
+    if not text:
+        return ret(Unit())
+    c, rest = text[0], text[1:]
+    one = derived_right(push(Char(c)), satisfy(lambda x: x == c, f"lit {c!r}"))
+    return one.bind(lambda _c: derived_lit(push, satisfy, ret, rest))
+
+
+def derived_lin_lit(text):
+    return derived_lit(st.lin_push, st.lin_satisfy, st.Linear.ret, text)
+
+
+def derived_alt_lit(text):
+    return derived_lit(st.alt_push, st.alt_satisfy, st.Choice.ret, text)
+
+
+def pair_with(a):
+    return lambda b: Pair(a, b)
+
+
+def tag(a):
+    return Pair(a, Unit())
+
+
+def staged_and_derived(m, n):
+    """(staged, derived) pairs of every sequencing combinator over m, n."""
+    f = derived_map(m, pair_with)
+    return [
+        (m.map(tag), derived_map(m, tag)),
+        (f.ap(n), derived_ap(f, n)),
+        (f @ n, derived_ap(f, n)),
+        (m.left(n), derived_left(m, n)),
+        (m << n, derived_left(m, n)),
+        (m.right(n), derived_right(m, n)),
+        (m >> n, derived_right(m, n)),
+    ]
+
+
+def test_staged_linear_sequencing_equals_the_bind_derivation():
+    rng = random.Random(61)
+    for _ in range(60):
+        m, n = lin_atoms(rng), lin_atoms(rng)
+        seeds, texts = seeds_and_texts(rng)
+        for staged, derived in staged_and_derived(m, n):
+            assert lin_probe(staged, seeds, texts) == lin_probe(derived, seeds, texts)
+
+
+def test_staged_choice_sequencing_equals_the_bind_derivation():
+    rng = random.Random(67)
+    for _ in range(60):
+        m, n, o = alt_atoms(rng), alt_atoms(rng), alt_atoms(rng)
+        seeds, texts = seeds_and_texts(rng)
+        for staged, derived in staged_and_derived(m, n):
+            # also followed by an action and as a first alternative, so
+            # the failure answers the staged forms thread are exercised
+            for wrap in (lambda a: a, lambda a: a.right(o), lambda a: a | o):
+                assert alt_probe(wrap(staged), seeds, texts) == \
+                    alt_probe(wrap(derived), seeds, texts)
+
+
+LITERALS = ["", "a", "ab", "λ.", "-th "]
+LIT_TEXTS = ["", "a", "ab", "abc", "ax", "xb", "λ", "λ.x", "-th c", "-t"]
+
+
+def test_whole_literals_equal_push_then_satisfy_per_char():
+    rng = random.Random(71)
+    for text in LITERALS:
+        for _ in range(10):
+            seeds, _ = seeds_and_texts(rng)
+            lin_next, alt_other = lin_atoms(rng), alt_atoms(rng)
+            staged, derived = st.lin_lit(text), derived_lin_lit(text)
+            for wrap in (lambda a: a, lambda a: a.right(lin_next)):
+                assert lin_probe(wrap(staged), seeds, LIT_TEXTS) == \
+                    lin_probe(wrap(derived), seeds, LIT_TEXTS)
+            staged, derived = st.alt_lit(text), derived_alt_lit(text)
+            for wrap in (lambda a: a, lambda a: a.right(alt_other),
+                         lambda a: a | alt_other, lambda a: alt_other | a):
+                assert alt_probe(wrap(staged), seeds, LIT_TEXTS) == \
+                    alt_probe(wrap(derived), seeds, LIT_TEXTS)
+
+
+def test_lin_lit_mismatch_names_the_first_differing_char():
+    def outcome(action, s, i):
+        try:
+            return action.pa(s, i)
+        except ContractViolation as e:
+            return str(e)
+
+    for text in LITERALS:
+        for s in LIT_TEXTS:
+            for i in range(len(s) + 2):
+                assert outcome(st.lin_lit(text), s, i) == \
+                    outcome(derived_lin_lit(text), s, i)
+    assert outcome(st.lin_lit("-th "), "5-tx", 1) == \
+        "lit 'h': unexpected 'x' at offset 3"
+
+
+def test_choice_is_committed_on_the_parse_side_unlike_tier_2():
+    a_or_ab = st.alt_lit("a") | st.alt_lit("ab")
+    assert st.parse(a_or_ab.right(st.alt_lit("c")), "abc") is None
+    t2 = (tier2.lit("a") | tier2.lit("ab")) + tier2.lit("c")
+    assert tier2.run_parse(t2, "abc") is not None
+    # the other order parses, and "ac" does either way
+    ab_or_a = st.alt_lit("ab") | st.alt_lit("a")
+    assert st.parse(ab_or_a.right(st.alt_lit("c")), "abc") == Unit()
+    assert st.parse(a_or_ab.right(st.alt_lit("c")), "ac") == Unit()
+
+
+# ---------------------------------------------------------------------------
+# The deep-stack runner
+
+
+def test_a_run_restores_the_recursion_limit_even_when_it_raises():
+    seen = []
+
+    def spy(c):
+        seen.append(sys.getrecursionlimit())
+        return True
+
+    saved = sys.getrecursionlimit()
+    before = saved + 7  # a limit no earlier run could have left behind
+    sys.setrecursionlimit(before)
+    try:
+        assert st.parse(st.alt_satisfy(spy), "x") == Char("x")
+        assert seen == [st._DEEP_LIMIT]
+        assert sys.getrecursionlimit() == before
+        with pytest.raises(ContractViolation):
+            st.sscanf(st.nth_char_format(), "nope")
+        assert sys.getrecursionlimit() == before
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_a_run_nested_in_a_running_job_returns_in_place():
+    inner = st.alt_lit("a")
+    outer = st.alt_satisfy(lambda c: st.parse(inner, c) is not None)
+    got = []
+    caller = threading.Thread(target=lambda: got.append(st.parse(outer, "ab")),
+                              daemon=True)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive()
+    assert got == [Char("a")]
+
+
+def test_an_exception_in_a_job_reaches_the_caller_with_its_type():
+    class Boom(Exception):
+        pass
+
+    def explode(c):
+        raise Boom(c)
+
+    with pytest.raises(Boom, match="x"):
+        st.parse(st.alt_satisfy(explode), "x")
+    with pytest.raises(Boom):
+        st.pretty(st.alt_satisfy(explode), Char("y"))
+    # the worker keeps serving
+    assert st.parse(st.alt_lit("x"), "x") == Unit()
+
+
+def abs_chain(depth):
+    term = lam.var("x")
+    for _ in range(depth):
+        term = lam.abs_("y", term)
+    return term
+
+
+def test_frame_exhaustion_is_a_one_line_contract_violation(
+        monkeypatch, tmp_path, capsysbinary):
+    monkeypatch.setattr(st, "_DEEP_LIMIT", 2000)
+    before = sys.getrecursionlimit()
+    deep, text = abs_chain(1000), "λy." * 1000 + "x"
+    too_deep = "^term nests too deeply for the stacked engine$"
+    with pytest.raises(ContractViolation, match=too_deep):
+        lam.pretty_term(deep, "stacked")
+    with pytest.raises(ContractViolation, match=too_deep):
+        lam.parse_term(text, "stacked")
+    assert sys.getrecursionlimit() == before
+    src = tmp_path / "deep.lam"
+    src.write_text(text + "\n", encoding="utf-8")
+    assert cli.main(["roundtrip", "--engine", "stacked", "--input", str(src)]) == 2
+    out, err = capsysbinary.readouterr()
+    assert out == b""
+    assert err == b"contract violation: term nests too deeply for the stacked engine\n"
+    # the same chain runs under the usual limit
+    monkeypatch.undo()
+    assert lam.pretty_term(deep, "stacked") == text
+
+
+def test_failing_branches_emit_nothing(monkeypatch):
+    # a prism lead runs the rest of its branch only once the value
+    # matched, so each char is emitted once, by the branch that prints it
+    emitted = []
+    trace = st.TracedK.trace
+
+    def spy(wk, chunk):
+        emitted.append(chunk)
+        return trace(wk, chunk)
+
+    terms = {t: lam.parse_term(t, "stacked")
+             for t in ("(f x)", "λx.(x x)", "((ab c1) λc.c)")}
+    monkeypatch.setattr(st.TracedK, "trace", spy)
+    for text, term in terms.items():
+        emitted.clear()
+        assert lam.pretty_term(term, "stacked") == text
+        assert "".join(emitted) == text
