@@ -536,78 +536,31 @@ def alt_some(p: Choice) -> Choice:
 # Runners
 #
 # Continuation chains nest one Python frame per emitted or consumed
-# character, so runs happen on one long-lived worker thread with a large
-# stack, started on first use.  The recursion limit is global to the
-# interpreter, so the worker raises it only for the length of each job:
-# left raised, a deep recursion on another thread would overflow its
-# stack instead of raising RecursionError.
+# character.  Since Python 3.11 a Python-to-Python call uses no C stack,
+# so only the recursion limit binds, and runs happen in place on the
+# caller's thread with the limit raised for the length of the run.  The
+# limit is global to the interpreter, so runs take turns: concurrent
+# callers would otherwise interleave their raise and restore, and could
+# leave the raised limit behind for everyone.  A run nested in a running
+# one (say, in a predicate) holds the lock already and runs in place.
 
-_DEEP_STACK_BYTES = 192 * 1024 * 1024
 _DEEP_LIMIT = 150_000
 
-_worker: Optional[threading.Thread] = None
-_jobs = None  # the worker's queue, made with it
-_worker_lock = threading.Lock()
-
-
-def _run_job(fn):
-    """(True, fn()) or (False, what it raised), run under `_DEEP_LIMIT`."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_DEEP_LIMIT)
-    try:
-        return True, fn()
-    except RecursionError:
-        return False, ContractViolation(
-            "term nests too deeply for the stacked engine")
-    except BaseException as e:  # re-raised by the waiting caller
-        return False, e
-    finally:
-        sys.setrecursionlimit(limit)
-
-
-def _serve(jobs):
-    while True:
-        fn, box, done = jobs.get()
-        box.append(_run_job(fn))
-        done.release()
-
-
-def _start_worker():
-    """Start the worker unless it is running (a forked child has none)."""
-    global _worker, _jobs
-    with _worker_lock:
-        if _worker is None or not _worker.is_alive():
-            # the C queue behind queue.SimpleQueue; importing `queue`
-            # itself would add ~1.5 ms to start-up
-            from _queue import SimpleQueue
-            _jobs = SimpleQueue()
-            old = threading.stack_size(_DEEP_STACK_BYTES)
-            try:
-                _worker = threading.Thread(target=_serve, args=(_jobs,),
-                                           name="cassette-deep-stack", daemon=True)
-                _worker.start()
-            finally:
-                threading.stack_size(old)
+_deep_lock = threading.RLock()
 
 
 def _run_deep(fn):
-    if threading.current_thread() is _worker:
-        # a run nested in a job (say, in a predicate): the worker
-        # waiting on itself would never return
-        return fn()
-    if _worker is None or not _worker.is_alive():
-        _start_worker()
-    # each call waits on its own lock, so a caller interrupted while
-    # waiting leaves nothing that a later call could receive
-    done = threading.Lock()
-    done.acquire()
-    box = []
-    _jobs.put((fn, box, done))
-    done.acquire()
-    ok, payload = box[0]
-    if not ok:
-        raise payload
-    return payload
+    """fn() under `_DEEP_LIMIT`, restoring the limit it found."""
+    with _deep_lock:
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_DEEP_LIMIT)
+        try:
+            return fn()
+        except RecursionError:
+            pass  # raised below, so the deep traceback is not kept alive
+        finally:
+            sys.setrecursionlimit(limit)
+    raise ContractViolation("term nests too deeply for the stacked engine")
 
 
 def run_linear_print(action: Linear, seed: Sequence[Value]):

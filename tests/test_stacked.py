@@ -1,5 +1,9 @@
+import os
+import pathlib
 import random
+import subprocess
 import sys
+import textwrap
 import threading
 
 import pytest
@@ -533,7 +537,7 @@ def test_choice_is_committed_on_the_parse_side_unlike_tier_2():
 
 
 # ---------------------------------------------------------------------------
-# The deep-stack runner
+# The runner: in place, under a raised recursion limit, one run at a time
 
 
 def test_a_run_restores_the_recursion_limit_even_when_it_raises():
@@ -580,7 +584,7 @@ def test_an_exception_in_a_job_reaches_the_caller_with_its_type():
         st.parse(st.alt_satisfy(explode), "x")
     with pytest.raises(Boom):
         st.pretty(st.alt_satisfy(explode), Char("y"))
-    # the worker keeps serving
+    # later runs are unaffected
     assert st.parse(st.alt_lit("x"), "x") == Unit()
 
 
@@ -589,6 +593,78 @@ def abs_chain(depth):
     for _ in range(depth):
         term = lam.abs_("y", term)
     return term
+
+
+def test_concurrent_runs_take_turns_and_restore_the_limit():
+    # the recursion limit is global: runs that overlapped would see each
+    # other's raise and restore and could leave the raised limit behind
+    texts = ["λx.(x x)", "((ab c1) λc.c)", "(f λy.(y z9))"]
+    terms = [lam.parse_term(t) for t in texts]
+    seen, results, errors = [], [], []
+
+    def spy(c):
+        seen.append(sys.getrecursionlimit())
+        return True
+
+    probe = st.alt_satisfy(spy)
+
+    def rounds():
+        try:
+            for _ in range(200):
+                for text, term in zip(texts, terms):
+                    results.append(lam.pretty_term(term, "stacked") == text)
+                    parsed = lam.parse_term(text, "stacked")
+                    results.append(lam.pretty_term(parsed, "cassette") == text)
+                results.append(st.parse(probe, "q") == Char("q"))
+        except BaseException as e:
+            errors.append(e)
+
+    before = sys.getrecursionlimit()
+    threads = [threading.Thread(target=rounds) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    assert len(results) == 4 * 200 * 7 and all(results)
+    assert len(seen) == 4 * 200 and set(seen) == {st._DEEP_LIMIT}
+    assert sys.getrecursionlimit() == before
+
+
+def test_a_deep_run_needs_no_large_thread_stack():
+    # Python 3.11 calls Python functions without using C stack, so a deep
+    # continuation chain fits a small thread stack.  A C-stack overflow
+    # kills the child, which shows as a negative return code.
+    src = pathlib.Path(st.__file__).resolve().parents[1]
+    script = textwrap.dedent("""
+        import threading
+        from cassette import lam
+
+        depth = 3000
+        text = "\\u03bby." * depth + "x"
+        term = lam.var("x")
+        for _ in range(depth):
+            term = lam.abs_("y", term)
+        ok = []
+
+        def round_trip():
+            printed = lam.pretty_term(term, "stacked")
+            parsed = lam.parse_term(text, "stacked")
+            ok.append(printed == text
+                      and lam.pretty_term(parsed, "cassette") == text)
+
+        threading.stack_size(256 * 1024)
+        t = threading.Thread(target=round_trip)
+        t.start()
+        t.join()
+        print(ok)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[True]\n"
 
 
 def test_frame_exhaustion_is_a_one_line_contract_violation(
