@@ -33,10 +33,25 @@ def _err(text: str) -> None:
     sys.stderr.buffer.flush()
 
 
+def _not_utf8(source, e: UnicodeDecodeError) -> OSError:
+    """Undecodable input, reported like unreadable input (exit 2)."""
+    return OSError(f"{source}: not UTF-8 ({e.reason} at byte {e.start})")
+
+
+def _read_file(path: pathlib.Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise _not_utf8(path, e) from None
+
+
 def _read_input(path: str | None) -> str:
     if path is None:
-        return sys.stdin.buffer.read().decode("utf-8")
-    return pathlib.Path(path).read_text(encoding="utf-8")
+        try:
+            return sys.stdin.buffer.read().decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise _not_utf8("stdin", e) from None
+    return _read_file(pathlib.Path(path))
 
 
 def _strip_newline(text: str) -> str:
@@ -179,9 +194,9 @@ def _check_case(case: pathlib.Path, engine: str):
     canon_path = case.with_suffix(".canon.lam")
     if not json_path.exists() or not canon_path.exists():
         return "missing expectation files"
-    text = _strip_newline(case.read_text(encoding="utf-8"))
-    expected_json = _strip_newline(json_path.read_text(encoding="utf-8"))
-    expected_canon = _strip_newline(canon_path.read_text(encoding="utf-8"))
+    text = _strip_newline(_read_file(case))
+    expected_json = _strip_newline(_read_file(json_path))
+    expected_canon = _strip_newline(_read_file(canon_path))
     term = lam.parse_term(text, engine)
     if term is None:
         return "parse failed"

@@ -14,7 +14,9 @@ cannot express the stack operations: with a continuation of type
 ``() -> m r`` there is no stack value to hand to a rewriting function,
 and anything printed would have to be chosen before the popped value is
 seen.  Wrapping the continuation in a comonad is what makes `pop`
-possible at all, which is why both variants here are built on it.
+possible at all, which is why both variants here are built on it.  The
+text so far is a persistent cons of chunks that the runners join once,
+at the end of a run, so emitting a chunk copies no earlier output.
 
 Two variants are provided, mirroring the two signatures of the stack
 abstraction:
@@ -34,6 +36,8 @@ Actions are staged: `ap`, `left`, `right` and `map` wire both actions'
 sides together once, when the action is built, and leaves print and
 match directly, literals whole.  Running a grammar built from these
 builds no further actions; only `bind` makes its next action per value.
+A print run makes no reference cycles, so what it allocates is freed by
+reference counting as soon as the run returns.
 """
 
 from __future__ import annotations
@@ -65,18 +69,53 @@ def supply(answer: Answer, v: Value) -> Answer:
     return lambda stack: answer(stack.push(v))
 
 
+class _Output:
+    """Emitted text as a persistent cons of chunks, newest first.
+
+    Appending a chunk shares everything emitted before it, so a run
+    copies no text until `text` joins the chunks once, at its end: the
+    output is a difference list (Hughes, "A novel representation of
+    lists", 1986).  `len` is the number of chars emitted.
+    """
+
+    __slots__ = ("chunk", "rest", "size")
+
+    def __init__(self, chunk: str, rest: Optional["_Output"], size: int):
+        self.chunk = chunk
+        self.rest = rest
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def text(self) -> str:
+        chunks = []
+        out = self
+        while out.size:
+            chunks.append(out.chunk)
+            out = out.rest
+        chunks.reverse()
+        return "".join(chunks)
+
+
+_NO_OUTPUT = _Output("", None, 0)
+
+
 class TracedK:
     """A continuation wrapped with the output emitted so far.
 
     Realizes the output comonad over continuations as an explicit
     (prefix, function of total output) pair: `extract` closes the
     output, `extend` lets a sequenced action observe and grow it,
-    `trace` feeds one emitted chunk.
+    `trace` feeds one emitted chunk.  The output is an `_Output` chunk
+    cons, so `trace` copies no text; the runners join it once, at the
+    end of a run.
     """
 
     __slots__ = ("fn", "prefix")
 
-    def __init__(self, fn: Callable[[str], object], prefix: str = ""):
+    def __init__(self, fn: Callable[[_Output], object],
+                 prefix: _Output = _NO_OUTPUT):
         self.fn = fn
         self.prefix = prefix
 
@@ -92,7 +131,8 @@ class TracedK:
         return TracedK(lambda total: g(fn(total)), self.prefix)
 
     def trace(self, chunk: str):
-        return self.fn(self.prefix + chunk)
+        prefix = self.prefix
+        return self.fn(_Output(chunk, prefix, prefix.size + len(chunk)))
 
 
 def _pop_char(v: Value) -> str:
@@ -161,7 +201,8 @@ class Linear(_Applicative):
         pr1, pa1 = self.pr, self.pa
 
         def pr(wk):
-            return pr1(wk.fmap(lambda k: lambda a: k(g(a))))
+            fn = wk.fn
+            return pr1(TracedK(lambda out: lambda a: fn(out)(g(a)), wk.prefix))
 
         def pa(s, i):
             a, j = pa1(s, i)
@@ -175,8 +216,11 @@ class Linear(_Applicative):
         pr1, pa1, pr2, pa2 = self.pr, self.pa, other.pr, other.pa
 
         def pr(wk):
-            return pr1(wk.extend(lambda wk2: lambda a: pr2(
-                wk2.fmap(lambda k: lambda b: k(combine(a, b))))))
+            # extend followed by fmap, fused: one wrapper per step
+            fn = wk.fn
+            return pr1(TracedK(lambda out: lambda a: pr2(TracedK(
+                lambda out2: lambda b: fn(out2)(combine(a, b)), out)),
+                wk.prefix))
 
         def pa(s, i):
             a, j = pa1(s, i)
@@ -341,7 +385,9 @@ class Choice(_Applicative):
         pr1, pa1 = self.pr, self.pa
 
         def pr(wk, fl):
-            return pr1(wk.fmap(lambda k: lambda a: k(g(a))), fl)
+            fn = wk.fn
+            return pr1(TracedK(lambda out: lambda a: fn(out)(g(a)), wk.prefix),
+                       fl)
 
         def pa(s, i):
             r = pa1(s, i)
@@ -355,8 +401,11 @@ class Choice(_Applicative):
         pr1, pa1, pr2, pa2 = self.pr, self.pa, other.pr, other.pa
 
         def pr(wk, fl):
-            return pr1(wk.extend(lambda wk2: lambda a: lambda fl2: pr2(
-                wk2.fmap(lambda k: lambda b: k(combine(a, b))), fl2)), fl)
+            # extend followed by fmap, fused: one wrapper per step
+            fn = wk.fn
+            return pr1(TracedK(lambda out: lambda a: lambda fl2: pr2(TracedK(
+                lambda out2: lambda b: fn(out2)(combine(a, b)), out), fl2),
+                wk.prefix), fl)
 
         def pa(s, i):
             r = pa1(s, i)
@@ -482,19 +531,22 @@ def _curried(build: Callable[[tuple], Value], arity: int):
     return step(())
 
 
+def _unroll(prism: Prism, fl: Answer, got: tuple) -> Answer:
+    """Pop the components still missing from `got`, rebuild the value
+    and hand it to fl.  Module-level, not a closure that names itself:
+    that closure would be a reference cycle made per prism match, and
+    it would keep fl, and the continuation chain behind it, for the
+    cyclic collector to find."""
+    if len(got) == prism.arity:
+        return supply(fl, prism.review(got))
+    return consume(lambda v: _unroll(prism, fl, got + (v,)))
+
+
 def alt_prism_lead(prism: Prism) -> Choice:
     """Lift a prism: the print side deconstructs the top value into its
     components (or fails over), the parse side returns the curried
     constructor for the results that follow."""
-    arity = prism.arity
-    constructor = _curried(prism.review, arity)
-
-    def unroll(fl):
-        def collect(got):
-            if len(got) == arity:
-                return supply(fl, prism.review(got))
-            return consume(lambda v: collect(got + (v,)))
-        return collect(())
+    constructor = _curried(prism.review, prism.arity)
 
     def pr(wk, fl):
         def on_top(v):
@@ -503,7 +555,7 @@ def alt_prism_lead(prism: Prism) -> Choice:
                 return supply(fl, v)
             # the rest runs only now: before the match, anything it
             # emits would be emitted by a branch that fails
-            answer = wk.extract()(constructor)(unroll(fl))
+            answer = wk.extract()(constructor)(_unroll(prism, fl, ()))
             # supplied first means popped first: first component on top
             for c in components:
                 answer = supply(answer, c)
@@ -565,7 +617,8 @@ def _run_deep(fn):
 
 def run_linear_print(action: Linear, seed: Sequence[Value]):
     """(emitted text, result, leftover stack) of the print side."""
-    wk0 = TracedK(lambda total: lambda a: lambda stack: (total, a, stack))
+    wk0 = TracedK(
+        lambda total: lambda a: lambda stack: (total.text(), a, stack))
     return _run_deep(lambda: action.pr(wk0)(stack_of(seed)))
 
 
@@ -590,7 +643,7 @@ def sscanf(action: Linear, text: str) -> Value:
 def run_choice_print(action: Choice, seed: Sequence[Value]):
     """(emitted, result, leftover stack) of the print side, or None."""
     wk0 = TracedK(
-        lambda total: lambda a: lambda fl: lambda stack: (total, a, stack))
+        lambda total: lambda a: lambda fl: lambda stack: (total.text(), a, stack))
     fl0 = lambda stack: None
     return _run_deep(lambda: action.pr(wk0, fl0)(stack_of(seed)))
 
@@ -598,7 +651,7 @@ def run_choice_print(action: Choice, seed: Sequence[Value]):
 def pretty(action: Choice, v: Value) -> Optional[str]:
     """Print one value to text, None if no alternative accepts it."""
     wk0 = TracedK(
-        lambda total: lambda _a: lambda _fl: lambda _stack: total)
+        lambda total: lambda _a: lambda _fl: lambda _stack: total.text())
     fl0 = consume(lambda _v: lambda _stack: None)
     return _run_deep(lambda: action.pr(wk0, fl0)(stack_of([v])))
 

@@ -103,10 +103,29 @@ class Text(Value):
 
 
 class List(Value):
-    __slots__ = ("items",)
+    """A finite sequence of values; `.items` is the tuple of them.
+
+    Besides the tuple a List is built from, there are two forms that
+    `cons_prism` makes, each in O(1): a cons node (`_head` in front of
+    the List `_tail`) and a suffix view (`_base[_off:]`, the tail a
+    preview takes of a tuple).  For those `.items` is built once, by one
+    walk down the cons nodes, and cached.  The form only shows in cost:
+    equality, hashing, repr and JSON go through `.items`.
+    """
+
+    __slots__ = ("_items", "_base", "_off", "_head", "_tail")
 
     def __init__(self, items: Iterable[Value] = ()):
-        self.items = tuple(items)
+        self._items = self._base = tuple(items)
+        self._off = 0
+        self._tail = None
+
+    @property
+    def items(self) -> tuple:
+        items = self._items
+        if items is None:
+            items = self._items = _flatten(self)
+        return items
 
     def __eq__(self, other):
         return isinstance(other, List) and self.items == other.items
@@ -116,6 +135,33 @@ class List(Value):
 
     def __repr__(self):
         return "List[" + ", ".join(map(repr, self.items)) + "]"
+
+
+def _cons(head: Value, tail: List) -> List:
+    lst = List.__new__(List)
+    lst._items = None
+    lst._head = head
+    lst._tail = tail
+    return lst
+
+
+def _suffix(base: tuple, off: int) -> List:
+    lst = List.__new__(List)
+    lst._items = None
+    lst._base = base
+    lst._off = off
+    lst._tail = None
+    return lst
+
+
+def _flatten(lst: List) -> tuple:
+    """The items of a cons node or suffix view, without recursion."""
+    heads = []
+    while lst._items is None and lst._tail is not None:
+        heads.append(lst._head)
+        lst = lst._tail
+    rest = lst._items if lst._items is not None else lst._base[lst._off:]
+    return tuple(heads) + rest if heads else rest
 
 
 class Pair(Value):
@@ -375,15 +421,20 @@ def adt_prism(tag: str, arity: int) -> Prism:
 def cons_prism() -> Prism:
     """Head/tail view of a non-empty List."""
     def preview(v):
-        if isinstance(v, List) and v.items:
-            return (v.items[0], List(v.items[1:]))
+        if not isinstance(v, List):
+            return None
+        if v._tail is not None:
+            return (v._head, v._tail)
+        base, off = v._base, v._off
+        if off < len(base):
+            return (base[off], _suffix(base, off + 1))
         return None
 
     def review(xs):
         head, tail = xs
         if not isinstance(tail, List):
             raise ContractViolation(f"cons wants a List tail, got {tail!r}")
-        return List((head,) + tail.items)
+        return _cons(head, tail)
 
     return Prism("cons", 2, preview, review)
 
@@ -391,7 +442,7 @@ def cons_prism() -> Prism:
 def nil_prism() -> Prism:
     """The empty List, with no components."""
     def preview(v):
-        if isinstance(v, List) and not v.items:
+        if isinstance(v, List) and v._tail is None and v._off == len(v._base):
             return ()
         return None
 

@@ -95,3 +95,36 @@ def test_output_is_newline_terminated_utf8():
             blob.decode("utf-8")
             if blob:
                 assert blob.endswith(b"\n")
+
+
+def _one_io_error(proc):
+    assert proc.returncode == 2
+    lines = proc.stderr.decode("utf-8").splitlines()
+    assert len(lines) == 1 and lines[0].startswith("i/o error: "), lines
+    assert "not UTF-8" in lines[0]
+
+
+def test_non_utf8_stdin_is_an_io_error():
+    proc = subprocess.run([sys.executable, "-m", "cassette.cli", "parse"],
+                          input=b"\xff", capture_output=True, cwd=ROOT)
+    _one_io_error(proc)
+    assert proc.stdout == b""
+
+
+def test_non_utf8_input_file_is_an_io_error(tmp_path):
+    src = tmp_path / "bad.lam"
+    src.write_bytes(b"x\xc3(\n")
+    proc = run_cli(["roundtrip", "--input", str(src)])
+    _one_io_error(proc)
+    assert proc.stdout == b""
+
+
+def test_non_utf8_corpus_file_is_an_io_error(tmp_path):
+    for name in ("a_ok", "b_bad"):
+        (tmp_path / f"{name}.lam").write_text("x\n", encoding="utf-8")
+        (tmp_path / f"{name}.json").write_text('{"Var":"x"}\n', encoding="utf-8")
+        (tmp_path / f"{name}.canon.lam").write_text("x\n", encoding="utf-8")
+    (tmp_path / "b_bad.json").write_bytes(b'{"Var":"\xe9"}\n')
+    proc = run_cli(["test-corpus", str(tmp_path)])
+    _one_io_error(proc)
+    assert proc.stdout == b"PASS a_ok.lam\n"

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from cassette import lam, tier2, stacked
+from cassette import lam, tier2, stacked, values
 from cassette.values import Adt, ContractViolation, Int, Text
 
 import cfg_oracle as cfg
@@ -202,3 +202,32 @@ def test_json_rejects_non_terms():
     assert lam.term_from_json('{"Abs":["x"]}') is None
     assert lam.term_from_json('{"Op":[{"Var":"x"}]}') is None
     assert lam.term_from_json('"x"') is None
+
+
+@pytest.mark.parametrize("engine", lam.ENGINES)
+def test_identifier_runs_copy_linearly_many_list_items(engine, monkeypatch):
+    # count every List item copied into a tuple: on construction from a
+    # tuple, and when a cons chain or view is materialised
+    copied = [0]
+    init, flatten = values.List.__init__, values._flatten
+
+    def counting_init(lst, items=()):
+        init(lst, items)
+        copied[0] += len(lst.items)
+
+    def counting_flatten(lst):
+        items = flatten(lst)
+        copied[0] += len(items)
+        return items
+
+    monkeypatch.setattr(values.List, "__init__", counting_init)
+    monkeypatch.setattr(values, "_flatten", counting_flatten)
+    text = "a" + "b1" * 1500
+    n = len(text)
+    term = lam.var(text)
+    copied[0] = 0
+    assert lam.pretty_term(term, engine) == text
+    assert copied[0] <= 3 * n, copied[0]
+    copied[0] = 0
+    assert lam.parse_term(text, engine) == term
+    assert copied[0] <= 3 * n, copied[0]

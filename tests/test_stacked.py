@@ -1,3 +1,4 @@
+import gc
 import os
 import pathlib
 import random
@@ -706,3 +707,25 @@ def test_failing_branches_emit_nothing(monkeypatch):
         emitted.clear()
         assert lam.pretty_term(term, "stacked") == text
         assert "".join(emitted) == text
+
+
+def test_stacked_runs_leave_no_cyclic_garbage():
+    # printing frees its continuation chain by reference counting alone:
+    # nothing a run builds is left for the cyclic collector to find
+    texts = ("x", "λab.(ab c1)", "((f x) λy.(y y))", "λx." * 40 + "z9")
+    terms = [lam.parse_term(t, "cassette") for t in texts]
+    fmt = st.nth_char_format()
+    args = [Int(3), Char("a"), Char("b")]
+    for text, term in zip(texts, terms):  # grammars built, caches filled
+        assert lam.pretty_term(term, "stacked") == text
+    st.sprintf(fmt, args)
+    gc.collect()
+    gc.disable()
+    try:
+        for text, term in zip(texts, terms):
+            assert lam.pretty_term(term, "stacked") == text
+            assert lam.parse_term(text, "stacked") == term
+        assert st.sprintf(fmt, args) == "3-th character after a is b"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

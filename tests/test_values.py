@@ -193,6 +193,63 @@ def test_cons_and_nil_examples():
         cons.review((Int(1), Int(2)))
 
 
+def _cons_chain(items):
+    """items as a chain of cons nodes, built by the cons prism."""
+    cons = cons_prism()
+    lst = nil_prism().review(())
+    for x in reversed(items):
+        lst = cons.review((x, lst))
+    return lst
+
+
+def _tails(lst):
+    """lst and every tail the cons prism takes of it, outermost first."""
+    out = [lst]
+    while (xs := cons_prism().preview(out[-1])) is not None:
+        out.append(xs[1])
+    return out
+
+
+def _same_list(got, want):
+    assert got == want and want == got
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    assert value_to_json(got) == value_to_json(want)
+    assert nil_prism().preview(got) == nil_prism().preview(want)
+
+
+@pytest.mark.parametrize("items", [
+    (), (Int(1),), (Char('a'), Char('b'), Char('c')),
+    (List((Int(1), Int(2))), Text("ab"), Adt("Var", (Text("x"),)), List(())),
+], ids=len)
+def test_lists_built_or_taken_apart_by_cons_equal_tuple_built_ones(items):
+    _same_list(_cons_chain(items), List(items))
+    # every tail a preview takes of a tuple-built List, and of a chain
+    for k, tail in enumerate(_tails(List(items))):
+        _same_list(tail, List(items[k:]))
+    for k, tail in enumerate(_tails(_cons_chain(items))):
+        _same_list(tail, List(items[k:]))
+    # cons onto a view, and a chain whose tail was already materialised
+    for k, tail in enumerate(_tails(List(items))):
+        _same_list(cons_prism().review((Int(9), tail)),
+                   List((Int(9),) + items[k:]))
+    chain = _cons_chain(items)
+    for tail in reversed(_tails(chain)):
+        tail.items
+    _same_list(cons_prism().review((Int(9), chain)), List((Int(9),) + items))
+    assert len(_tails(List(items))) == len(items) + 1
+
+
+def test_a_long_cons_chain_materialises_without_recursion():
+    n = 100_000
+    chain = _cons_chain(tuple(Int(i % 7) for i in range(n)))
+    items = chain.items
+    assert len(items) == n and items[:3] == (Int(0), Int(1), Int(2))
+    assert chain.items is items
+    assert chain == List(items) and hash(chain) == hash(List(items))
+    del chain, items  # freeing the chain must not recurse either
+
+
 def test_pair_iso_round_trips():
     iso = pair_iso()
     assert iso.to(Pair(Int(1), Char('a'))) == List((Int(1), Char('a')))
