@@ -6,7 +6,8 @@ of increasing power live side by side:
 * `tier1`   -- choice-free format descriptors (printf/scanf style)
 * `tier2`   -- descriptors with failure and choice, full context-free grammars
 * `stacked` -- indexed-monadic descriptors pairing a continuation printer
-               with a forward parser, in a linear and a choice flavour
+               with a forward parser: one machine, whose linear flavour
+               is its choice flavour without `|`
 
 `lam` builds the flagship lambda-calculus grammar on the last two, and
 `cli` exposes everything as a command line tool.

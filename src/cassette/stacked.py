@@ -18,14 +18,16 @@ possible at all, which is why both variants here are built on it.  The
 text so far is a persistent cons of chunks that the runners join once,
 at the end of a run, so emitting a chunk copies no earlier output.
 
-Two variants are provided, mirroring the two signatures of the stack
-abstraction:
+The typed presentation gives the stack abstraction two signatures; in
+this dynamic port they share one machine, whose print sides all take a
+wrapped continuation and a failure answer:
 
-* `Linear`  -- one continuation; parse mismatches are terminal.
-* `Choice`  -- a second, failure answer threads through every action;
-  alternatives compose as a monoid at every index, and stack rewrites
-  carry an unrolling function that restores popped values when a later
-  alternative retries.
+* `Choice`  -- alternatives compose as a monoid at every index, and
+  stack rewrites carry an unrolling function that restores popped
+  values when a later alternative retries.
+* `Linear`  -- the failure-free fragment, as tier 1 is tier 2's
+  choice-free one: no `|`, and leaves raise on a mismatch, so the
+  failure answer is threaded but never taken.
 
 Answers (the things continuations return) are realized as computations
 that consume the runtime value stack.  `consume` and `supply` convert
@@ -126,10 +128,6 @@ class TracedK:
         fn = self.fn
         return TracedK(lambda total: h(TracedK(fn, total)), self.prefix)
 
-    def fmap(self, g) -> "TracedK":
-        fn = self.fn
-        return TracedK(lambda total: g(fn(total)), self.prefix)
-
     def trace(self, chunk: str):
         prefix = self.prefix
         return self.fn(_Output(chunk, prefix, prefix.size + len(chunk)))
@@ -141,14 +139,76 @@ def _pop_char(v: Value) -> str:
     return v.c
 
 
-class _Applicative:
-    """Sequencing shared by both variants; each variant's `_seq(other,
-    combine)` wires the two actions together when the action is built.
+class _Action:
+    """An action of either variant: `pr(wrapped_continuation,
+    failure_answer) -> answer` prints, `pa(text, i) -> (result, i')`
+    parses.  `map` and `_seq(other, combine)` wire both actions' sides
+    together when the action is built.
 
     `a @ b` applies, `a << b` keeps the left result, `a >> b` the right.
     """
 
-    __slots__ = ()
+    __slots__ = ("pr", "pa")
+
+    def __init__(self, pr, pa):
+        self.pr = pr
+        self.pa = pa
+
+    @classmethod
+    def ret(cls, x):
+        return cls(lambda wk, fl: wk.extract()(x)(fl), lambda s, i: (x, i))
+
+    def bind(self, f: Callable[[object], "_Action"]):
+        def pr(wk, fl):
+            return self.pr(
+                wk.extend(lambda wk2: lambda x: lambda fl2: f(x).pr(wk2, fl2)),
+                fl)
+
+        def pa(s, i):
+            r = self.pa(s, i)
+            if r is None:
+                return None
+            a, j = r
+            return f(a).pa(s, j)
+
+        return type(self)(pr, pa)
+
+    def map(self, g):
+        pr1, pa1 = self.pr, self.pa
+
+        def pr(wk, fl):
+            fn = wk.fn
+            return pr1(TracedK(lambda out: lambda a: fn(out)(g(a)), wk.prefix),
+                       fl)
+
+        def pa(s, i):
+            r = pa1(s, i)
+            return None if r is None else (g(r[0]), r[1])
+
+        return type(self)(pr, pa)
+
+    def _seq(self, other: "_Action", combine):
+        """`self` then `other`, results joined by `combine`: binding both
+        and returning `combine(a, b)`, wired once."""
+        pr1, pa1, pr2, pa2 = self.pr, self.pa, other.pr, other.pa
+
+        def pr(wk, fl):
+            # extend, then map the result: fused, one wrapper per step
+            fn = wk.fn
+            return pr1(TracedK(lambda out: lambda a: lambda fl2: pr2(TracedK(
+                lambda out2: lambda b: fn(out2)(combine(a, b)), out), fl2),
+                wk.prefix), fl)
+
+        def pa(s, i):
+            r = pa1(s, i)
+            if r is None:
+                return None
+            r2 = pa2(s, r[1])
+            if r2 is None:
+                return None
+            return combine(r[0], r2[0]), r2[1]
+
+        return type(self)(pr, pa)
 
     def ap(self, other):
         return self._seq(other, lambda g, a: g(a))
@@ -164,85 +224,96 @@ class _Applicative:
     __rshift__ = right
 
 
-# ---------------------------------------------------------------------------
-# Linear variant
+class Linear(_Action):
+    """An indexed action without failure: `Choice`'s fragment with no `|`.
 
-
-class Linear(_Applicative):
-    """An indexed action without failure.
-
-    `pr(wrapped_continuation) -> answer` is the print side;
-    `pa(text, i) -> (result, i')` the parse side, raising
-    `ContractViolation` on mismatch.
+    Its leaves raise `ContractViolation` on a mismatch instead of taking
+    the failure answer, so the print side threads that answer through
+    but never takes it, and the parse side never returns None.
     """
 
-    __slots__ = ("pr", "pa")
+    __slots__ = ()
 
-    def __init__(self, pr, pa):
-        self.pr = pr
-        self.pa = pa
+
+class Choice(_Action):
+    """An indexed action with failure and choice.
+
+    The print side may take its failure answer, the parse side may
+    return None.  `a | b` falls back to b on failure of a, restoring
+    input, output and stack.
+
+    Choice is committed on the parse side, as in a PEG: once `a` has
+    parsed, `a | b` never tries `b`, even if what follows `a | b` then
+    fails.  So `(alt_lit("a") | alt_lit("ab")) >> alt_lit("c")` rejects
+    "abc", which tier 2, backtracking into every alternative, accepts.
+    The print side retries `b` on any later failure.  Grammars whose
+    alternatives start with different chars, like the λ grammar, are
+    unaffected.
+    """
+
+    __slots__ = ()
+
+    # an entry of Choice's own, so that building a Choice can be wrapped
+    # without wrapping Linear
+    __init__ = _Action.__init__
 
     @staticmethod
-    def ret(x) -> "Linear":
-        return Linear(lambda wk: wk.extract()(x),
-                      lambda s, i: (x, i))
+    def fail() -> "Choice":
+        return Choice(lambda wk, fl: fl, lambda s, i: None)
 
-    def bind(self, f: Callable[[object], "Linear"]) -> "Linear":
-        def pr(wk):
-            return self.pr(wk.extend(lambda wk2: lambda x: f(x).pr(wk2)))
-
-        def pa(s, i):
-            a, j = self.pa(s, i)
-            return f(a).pa(s, j)
-
-        return Linear(pr, pa)
-
-    def map(self, g) -> "Linear":
-        pr1, pa1 = self.pr, self.pa
-
-        def pr(wk):
-            fn = wk.fn
-            return pr1(TracedK(lambda out: lambda a: fn(out)(g(a)), wk.prefix))
-
-        def pa(s, i):
-            a, j = pa1(s, i)
-            return g(a), j
-
-        return Linear(pr, pa)
-
-    def _seq(self, other: "Linear", combine) -> "Linear":
-        """`self` then `other`, results joined by `combine`: binding both
-        and returning `combine(a, b)`, wired once."""
+    def alt(self, other: "Choice") -> "Choice":
         pr1, pa1, pr2, pa2 = self.pr, self.pa, other.pr, other.pa
 
-        def pr(wk):
-            # extend followed by fmap, fused: one wrapper per step
-            fn = wk.fn
-            return pr1(TracedK(lambda out: lambda a: pr2(TracedK(
-                lambda out2: lambda b: fn(out2)(combine(a, b)), out)),
-                wk.prefix))
+        def pr(wk, fl):
+            # the untried branch is the failure answer of the first one;
+            # built lazily so cyclic grammars stay finite
+            return pr1(wk, lambda stack: pr2(wk, fl)(stack))
 
         def pa(s, i):
-            a, j = pa1(s, i)
-            b, j = pa2(s, j)
-            return combine(a, b), j
+            r = pa1(s, i)
+            return r if r is not None else pa2(s, i)
 
-        return Linear(pr, pa)
+        return Choice(pr, pa)
+
+    __or__ = alt
+
+
+# ---------------------------------------------------------------------------
+# Leaves of both variants
+
+
+def _parse_nothing(s, i):
+    return Unit(), i
+
+
+def _shift(cls, f):
+    """f(success: failure answer -> answer, failure: answer) -> answer;
+    unit result, parse no-op."""
+    return cls(lambda wk, fl: f(wk.extract()(Unit()), fl), _parse_nothing)
+
+
+def _shiftw(cls, f):
+    """Like `_shift` but hands f the full value continuation.  Print side
+    only."""
+    def pa(s, i):
+        raise ContractViolation("this action has no parse side")
+
+    return cls(lambda wk, fl: f(wk.extract(), fl), pa)
+
+
+def _emit(chunk: str):
+    """The print side that appends `chunk` to the output."""
+    return lambda wk, fl: wk.trace(chunk)(Unit())(fl)
+
+
+# ---------------------------------------------------------------------------
+# Linear leaves
 
 
 def lin_stack_map(rewrite: Callable[[Answer], Answer]) -> Linear:
     """Rewrite the print-side stack; `rewrite` maps the continuation's
     answer over the stack it expects.  Unit result, parse no-op."""
-    return Linear(lambda wk: rewrite(wk.extract()(Unit())),
-                  lambda s, i: (Unit(), i))
-
-
-def _lin_shiftw(f) -> Linear:
-    """Like `lin_stack_map` but hands f the full value continuation."""
-    def pa(s, i):
-        raise ContractViolation("this action has no parse side")
-
-    return Linear(lambda wk: f(wk.extract()), pa)
+    return _shift(Linear, lambda k, fl: rewrite(k(fl)))
 
 
 def lin_push(v: Value) -> Linear:
@@ -257,7 +328,7 @@ def lin_pop_() -> Linear:
 
 def lin_pop() -> Linear:
     """Print side pops and returns the top value.  Print side only."""
-    return _lin_shiftw(consume)
+    return _shiftw(Linear, lambda k, fl: consume(lambda a: k(a)(fl)))
 
 
 def lin_curry_stack() -> Linear:
@@ -268,18 +339,17 @@ def lin_curry_stack() -> Linear:
 
 def lin_emit(chunk: str) -> Linear:
     """Append text to the print output; parse side does nothing."""
-    return Linear(lambda wk: wk.trace(chunk)(Unit()),
-                  lambda s, i: (Unit(), i))
+    return Linear(_emit(chunk), _parse_nothing)
 
 
 def lin_satisfy(pred: Callable[[str], bool], label: str = "satisfy") -> Linear:
     """Print pops a Char and emits it; parse consumes one passing char.
     A char the predicate rejects is a violation on both sides."""
-    def pr(wk):
+    def pr(wk, fl):
         def print_char(c):
             if not pred(_pop_char(c)):
                 raise ContractViolation(f"{c.c!r} does not satisfy {label}")
-            return wk.trace(c.c)(c)
+            return wk.trace(c.c)(c)(fl)
         return consume(print_char)
 
     def pa(s, i):
@@ -307,7 +377,7 @@ def lin_lit(text: str) -> Linear:
         raise ContractViolation(
             f"lit {text[j - i]!r}: unexpected {found!r} at offset {j}")
 
-    return Linear(lin_emit(text).pr, pa)
+    return Linear(_emit(text), pa)
 
 
 def lin_char() -> Linear:
@@ -332,136 +402,23 @@ def nth_char_format() -> Linear:
 
 
 # ---------------------------------------------------------------------------
-# Choice variant
-
-
-class Choice(_Applicative):
-    """An indexed action with failure and choice.
-
-    `pr(wrapped_continuation, failure_answer) -> answer`;
-    `pa(text, i) -> (result, i') or None`.  `a | b` falls back to b on
-    failure of a, restoring input, output and stack.
-
-    Choice is committed on the parse side, as in a PEG: once `a` has
-    parsed, `a | b` never tries `b`, even if what follows `a | b` then
-    fails.  So `(alt_lit("a") | alt_lit("ab")) >> alt_lit("c")` rejects
-    "abc", which tier 2, backtracking into every alternative, accepts.
-    The print side retries `b` on any later failure.  Grammars whose
-    alternatives start with different chars, like the λ grammar, are
-    unaffected.
-    """
-
-    __slots__ = ("pr", "pa")
-
-    def __init__(self, pr, pa):
-        self.pr = pr
-        self.pa = pa
-
-    @staticmethod
-    def ret(x) -> "Choice":
-        return Choice(lambda wk, fl: wk.extract()(x)(fl),
-                      lambda s, i: (x, i))
-
-    @staticmethod
-    def fail() -> "Choice":
-        return Choice(lambda wk, fl: fl, lambda s, i: None)
-
-    def bind(self, f: Callable[[object], "Choice"]) -> "Choice":
-        def pr(wk, fl):
-            return self.pr(
-                wk.extend(lambda wk2: lambda x: lambda fl2: f(x).pr(wk2, fl2)),
-                fl)
-
-        def pa(s, i):
-            r = self.pa(s, i)
-            if r is None:
-                return None
-            a, j = r
-            return f(a).pa(s, j)
-
-        return Choice(pr, pa)
-
-    def map(self, g) -> "Choice":
-        pr1, pa1 = self.pr, self.pa
-
-        def pr(wk, fl):
-            fn = wk.fn
-            return pr1(TracedK(lambda out: lambda a: fn(out)(g(a)), wk.prefix),
-                       fl)
-
-        def pa(s, i):
-            r = pa1(s, i)
-            return None if r is None else (g(r[0]), r[1])
-
-        return Choice(pr, pa)
-
-    def _seq(self, other: "Choice", combine) -> "Choice":
-        """`self` then `other`, results joined by `combine`: binding both
-        and returning `combine(a, b)`, wired once."""
-        pr1, pa1, pr2, pa2 = self.pr, self.pa, other.pr, other.pa
-
-        def pr(wk, fl):
-            # extend followed by fmap, fused: one wrapper per step
-            fn = wk.fn
-            return pr1(TracedK(lambda out: lambda a: lambda fl2: pr2(TracedK(
-                lambda out2: lambda b: fn(out2)(combine(a, b)), out), fl2),
-                wk.prefix), fl)
-
-        def pa(s, i):
-            r = pa1(s, i)
-            if r is None:
-                return None
-            r2 = pa2(s, r[1])
-            if r2 is None:
-                return None
-            return combine(r[0], r2[0]), r2[1]
-
-        return Choice(pr, pa)
-
-    def alt(self, other: "Choice") -> "Choice":
-        pr1, pa1, pr2, pa2 = self.pr, self.pa, other.pr, other.pa
-
-        def pr(wk, fl):
-            # the untried branch is the failure answer of the first one;
-            # built lazily so cyclic grammars stay finite
-            return pr1(wk, lambda stack: pr2(wk, fl)(stack))
-
-        def pa(s, i):
-            r = pa1(s, i)
-            return r if r is not None else pa2(s, i)
-
-        return Choice(pr, pa)
-
-    __or__ = alt
-
-
-def _alt_shift(f) -> Choice:
-    """f(success: answer -> answer, failure: answer) -> answer; unit
-    result, parse no-op."""
-    return Choice(lambda wk, fl: f(wk.extract()(Unit()), fl),
-                  lambda s, i: (Unit(), i))
-
-
-def _alt_shiftw(f) -> Choice:
-    def pa(s, i):
-        raise ContractViolation("this action has no parse side")
-
-    return Choice(lambda wk, fl: f(wk.extract(), fl), pa)
+# Choice leaves
 
 
 def alt_push(v: Value) -> Choice:
     """Push on the print side; on later failure the value is dropped again."""
-    return _alt_shift(lambda k, fl: supply(k(consume(lambda _v: fl)), v))
+    return _shift(Choice, lambda k, fl: supply(k(consume(lambda _v: fl)), v))
 
 
 def alt_pop_() -> Choice:
     """Drop the print-side top; on later failure it is pushed back."""
-    return _alt_shift(lambda k, fl: consume(lambda a: k(supply(fl, a))))
+    return _shift(Choice, lambda k, fl: consume(lambda a: k(supply(fl, a))))
 
 
 def alt_pop() -> Choice:
     """Pop and return the print-side top; restored on later failure."""
-    return _alt_shiftw(lambda k, fl: consume(lambda a: k(a)(supply(fl, a))))
+    return _shiftw(Choice,
+                   lambda k, fl: consume(lambda a: k(a)(supply(fl, a))))
 
 
 def alt_stack_guard(rewrite, unroll) -> Choice:
@@ -472,12 +429,11 @@ def alt_stack_guard(rewrite, unroll) -> Choice:
     failure; `unroll(failure)` rebuilds the original stack from the
     components if a later alternative has to retry.
     """
-    return _alt_shift(lambda k, fl: rewrite(fl, k(unroll(fl))))
+    return _shift(Choice, lambda k, fl: rewrite(fl, k(unroll(fl))))
 
 
 def alt_emit(chunk: str) -> Choice:
-    return Choice(lambda wk, fl: wk.trace(chunk)(Unit())(fl),
-                  lambda s, i: (Unit(), i))
+    return Choice(_emit(chunk), _parse_nothing)
 
 
 def alt_satisfy(pred, label: str = "satisfy") -> Choice:
@@ -507,7 +463,7 @@ def alt_lit(text: str) -> Choice:
     def pa(s, i):
         return (Unit(), i + len(text)) if s.startswith(text, i) else None
 
-    return Choice(alt_emit(text).pr, pa)
+    return Choice(_emit(text), pa)
 
 
 def alt_defer(thunk: Callable[[], Choice]) -> Choice:
@@ -617,9 +573,7 @@ def _run_deep(fn):
 
 def run_linear_print(action: Linear, seed: Sequence[Value]):
     """(emitted text, result, leftover stack) of the print side."""
-    wk0 = TracedK(
-        lambda total: lambda a: lambda stack: (total.text(), a, stack))
-    return _run_deep(lambda: action.pr(wk0)(stack_of(seed)))
+    return run_choice_print(action, seed)
 
 
 def sprintf(action: Linear, args: Sequence[Value]) -> str:
@@ -650,10 +604,8 @@ def run_choice_print(action: Choice, seed: Sequence[Value]):
 
 def pretty(action: Choice, v: Value) -> Optional[str]:
     """Print one value to text, None if no alternative accepts it."""
-    wk0 = TracedK(
-        lambda total: lambda _a: lambda _fl: lambda _stack: total.text())
-    fl0 = consume(lambda _v: lambda _stack: None)
-    return _run_deep(lambda: action.pr(wk0, fl0)(stack_of([v])))
+    r = run_choice_print(action, [v])
+    return None if r is None else r[0]
 
 
 def parse(action: Choice, text: str) -> Optional[Value]:

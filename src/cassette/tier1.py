@@ -95,23 +95,33 @@ def sprintf(d: Descriptor1, args: Sequence[Value]) -> str:
             f"descriptor takes {d.arity} arguments, got {len(args)}")
     out = []
     stack = stack_of(args)
-    nth = 0  # argument slots reached so far, for diagnostics
-    for node in d.nodes:
+    for k, node in enumerate(d.nodes):
         if type(node) is _Satisfy:
-            nth += 1
             v = stack.pop()[0]
             if not isinstance(v, Char):
-                raise ContractViolation(
-                    f"argument {nth}: {node.label} wants a Char, got {v!r}")
+                raise ContractViolation(f"argument {_argument(d, k)}: "
+                                        f"{node.label} wants a Char, got {v!r}")
         moved = node.print_step(out, len(out), stack)
         if moved is None:  # only a satisfy whose predicate rejects fails
-            raise ContractViolation(
-                f"argument {nth}: {v.c!r} does not satisfy {node.label}")
+            raise ContractViolation(f"argument {_argument(d, k)}: "
+                                    f"{v.c!r} does not satisfy {node.label}")
         stack = moved[1]
     if not stack.is_empty():
         raise ContractViolation(
             f"{stack.size} unconsumed arguments after printing")
     return "".join(out)
+
+
+def _argument(d: Descriptor1, k: int) -> int:
+    """The argument that the value leaf k pops came from; a lead's
+    components come from the argument it took apart."""
+    owners = list(range(d.arity, 0, -1))  # top last
+    for node in d.nodes[:k]:
+        if type(node) is not _Lit:
+            nth = owners.pop()
+            if type(node) is not _Satisfy:
+                owners += [nth] * node.prism.arity
+    return owners[-1]
 
 
 def sscanf(d: Descriptor1, text: str) -> tuple:

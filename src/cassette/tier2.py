@@ -122,21 +122,6 @@ class _Lit(Descriptor2):
         return n + 1, stack
 
 
-class _IsoLift(Descriptor2):
-    __slots__ = ("iso",)
-
-    def __init__(self, iso: Iso):
-        self.iso = iso
-
-    def parse_step(self, text, pos, stack):
-        iso = self.iso
-        return pos, stack.open_frame(iso.name, 1, lambda xs: iso.from_(xs[0]))
-
-    def print_step(self, out, n, stack):
-        v, stack = stack.pop()
-        return n, stack.push(self.iso.to(v))
-
-
 class _PrismLead(Descriptor2):
     __slots__ = ("prism",)
 
@@ -155,19 +140,6 @@ class _PrismLead(Descriptor2):
         for c in reversed(components):
             stack = stack.push(c)
         return n, stack
-
-
-class _PairLead(Descriptor2):
-    __slots__ = ()
-
-    def parse_step(self, text, pos, stack):
-        return pos, stack.open_frame("pair", 2, lambda xs: Pair(xs[0], xs[1]))
-
-    def print_step(self, out, n, stack):
-        v, stack = stack.pop()
-        if not isinstance(v, Pair):
-            raise ContractViolation(f"pair lead wants a Pair, got {v!r}")
-        return n, stack.push(v.second).push(v.first)
 
 
 class _Defer(Descriptor2):
@@ -261,7 +233,9 @@ def lit_unit(text: str) -> Descriptor2:
 
 
 def iso_lift(iso: Iso) -> Descriptor2:
-    return _IsoLift(iso)
+    """Map the top value through an iso: a prism lead that always matches."""
+    return _PrismLead(Prism(iso.name, 1, lambda v: (iso.to(v),),
+                            lambda xs: iso.from_(xs[0])))
 
 
 def prism_lead(prism: Prism) -> Descriptor2:
@@ -269,8 +243,16 @@ def prism_lead(prism: Prism) -> Descriptor2:
     return _PrismLead(prism)
 
 
+def _pair_components(v: Value) -> tuple:
+    # a non-Pair is misuse, not a failed match
+    if not isinstance(v, Pair):
+        raise ContractViolation(f"pair lead wants a Pair, got {v!r}")
+    return v.first, v.second
+
+
 def pair_lead() -> Descriptor2:
-    return _PairLead()
+    return _PrismLead(Prism("pair", 2, _pair_components,
+                            lambda xs: Pair(xs[0], xs[1])))
 
 
 def cons_lead() -> Descriptor2:
@@ -327,7 +309,7 @@ def integer() -> Descriptor2:
 # The remaining program is a cons list of nodes; a choice point snapshots
 # (program, cursor, stack) so failure can rewind, to fewer chunks if printing.
 
-_LEAVES = (_Fail, _Satisfy, _Lit, _IsoLift, _PrismLead, _PairLead)
+_LEAVES = (_Fail, _Satisfy, _Lit, _PrismLead)
 _PARSE_STEPS = {leaf: leaf.parse_step for leaf in _LEAVES}
 _PRINT_STEPS = {leaf: leaf.print_step for leaf in _LEAVES}
 

@@ -117,6 +117,11 @@ def test_linear_format_scan_mismatch_is_terminal():
         st.sscanf(st.nth_char_format(), "nope")
 
 
+def test_linear_has_no_choice():
+    with pytest.raises(TypeError):
+        st.lin_char() | st.lin_char()
+
+
 def test_sprintf_flags_leftover_arguments():
     with pytest.raises(ContractViolation):
         st.sprintf(st.lin_char(), [Char("a"), Char("b")])

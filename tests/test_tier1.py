@@ -144,6 +144,28 @@ def test_violation_diagnostics_name_the_position():
         tier1.sprintf(spec, [Int(5), Int(9), Char("f")])
 
 
+def test_violation_diagnostics_number_the_argument_a_value_came_from():
+    # both components of a Pair carry the Pair's argument number
+    d = tier1.pair_lead() + tier1.digit() + tier1.char()
+    with pytest.raises(ContractViolation,
+                       match=r"^argument 1: char wants a Char, got Int\(2\)$"):
+        tier1.sprintf(d, [Pair(Int(1), Int(2))])
+    d = (tier1.char() + tier1.pair_lead() + tier1.char()
+         + tier1.satisfy(str.isdigit, "digit") + tier1.char())
+    with pytest.raises(ContractViolation,
+                       match=r"^argument 2: 'c' does not satisfy digit$"):
+        tier1.sprintf(d, [Char("a"), Pair(Char("b"), Char("c")), Char("d")])
+    with pytest.raises(ContractViolation,
+                       match=r"^argument 3: char wants a Char, got Int\(4\)$"):
+        tier1.sprintf(d, [Char("a"), Pair(Char("b"), Char("5")), Int(4)])
+
+
+def test_a_non_pair_under_pair_lead_is_misuse():
+    d = tier1.pair_lead() + tier1.char() + tier1.char()
+    with pytest.raises(ContractViolation, match="pair lead wants a Pair"):
+        tier1.sprintf(d, [Char("x")])
+
+
 # ---------------------------------------------------------------------------
 # Properties
 

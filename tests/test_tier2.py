@@ -170,6 +170,16 @@ def test_pair_lead_round_trips():
     assert tier2.parse(d, "3z") == Pair(Int(3), Char("z"))
 
 
+def test_lead_misuse_raises_through_choice_instead_of_failing_over():
+    # each left branch would refuse the value; the right one would print it
+    pair_or_char = (tier2.pair_lead() + tier2.char() + tier2.char()) | tier2.char()
+    with pytest.raises(ContractViolation, match="pair lead wants a Pair"):
+        tier2.pretty(pair_or_char, Char("x"))
+    for other in (tier2.integer(), tier2.char()):
+        with pytest.raises(ContractViolation, match="digit wants 0 to 9"):
+            tier2.pretty(tier2.digit() | other, Int(12))
+
+
 # ---------------------------------------------------------------------------
 # Repetition
 
