@@ -129,10 +129,13 @@ def _cmd_fmt(args) -> int:
             _err("usage: cassette fmt print INT CHAR CHAR\n")
             return 2
         n, c1, c2 = args.args
-        if not (n.lstrip("-").isdigit() and len(c1) == 1 and len(c2) == 1):
+        try:
+            if not (n.lstrip("-").isdigit() and len(c1) == 1 and len(c2) == 1):
+                raise ValueError
+            values = [Int(int(n)), Char(c1), Char(c2)]
+        except ValueError:  # isdigit also passes "²", which int() refuses
             _err("usage: cassette fmt print INT CHAR CHAR\n")
             return 2
-        values = [Int(int(n)), Char(c1), Char(c2)]
         try:
             if args.tier == 1:
                 line = tier1.sprintf(tier1.nth_char_format(), values)

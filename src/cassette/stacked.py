@@ -15,8 +15,9 @@ cannot express the stack operations: with a continuation of type
 and anything printed would have to be chosen before the popped value is
 seen.  Wrapping the continuation in a comonad is what makes `pop`
 possible at all, which is why both variants here are built on it.  The
-text so far is a persistent cons of chunks that the runners join once,
-at the end of a run, so emitting a chunk copies no earlier output.
+text so far is the persistent chunk cons `_Output` that tiers 1 and 2
+print into as well; the runners join it once, at the end of a run, so
+emitting a chunk copies no earlier output.
 
 The typed presentation gives the stack abstraction two signatures; in
 this dynamic port they share one machine, whose print sides all take a
@@ -51,7 +52,7 @@ from typing import Callable, Optional, Sequence
 from .tier2 import digit_iso, is_ascii_digit
 from .values import (
     Char, ContractViolation, List, Pair, Prism, Stack, Unit, Value,
-    cons_prism, nil_prism, stack_of,
+    _NO_OUTPUT, _Output, cons_prism, nil_prism, stack_of,
 )
 
 # An Answer consumes a stack and produces the run's final outcome.
@@ -69,38 +70,6 @@ def consume(f: Callable[[Value], Answer]) -> Answer:
 def supply(answer: Answer, v: Value) -> Answer:
     """Apply an answer to a value, i.e. hand it one pre-pushed argument."""
     return lambda stack: answer(stack.push(v))
-
-
-class _Output:
-    """Emitted text as a persistent cons of chunks, newest first.
-
-    Appending a chunk shares everything emitted before it, so a run
-    copies no text until `text` joins the chunks once, at its end: the
-    output is a difference list (Hughes, "A novel representation of
-    lists", 1986).  `len` is the number of chars emitted.
-    """
-
-    __slots__ = ("chunk", "rest", "size")
-
-    def __init__(self, chunk: str, rest: Optional["_Output"], size: int):
-        self.chunk = chunk
-        self.rest = rest
-        self.size = size
-
-    def __len__(self) -> int:
-        return self.size
-
-    def text(self) -> str:
-        chunks = []
-        out = self
-        while out.size:
-            chunks.append(out.chunk)
-            out = out.rest
-        chunks.reverse()
-        return "".join(chunks)
-
-
-_NO_OUTPUT = _Output("", None, 0)
 
 
 class TracedK:

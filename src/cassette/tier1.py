@@ -18,7 +18,9 @@ from typing import Callable, Sequence
 
 from . import tier2
 from .tier2 import _Lit, _Satisfy, digit_iso, is_ascii_digit
-from .values import Char, ContractViolation, Iso, Value, stack_of, EMPTY_STACK
+from .values import (
+    ContractViolation, Iso, Value, _NO_OUTPUT, stack_of, EMPTY_STACK,
+)
 
 
 class Descriptor1:
@@ -93,23 +95,23 @@ def sprintf(d: Descriptor1, args: Sequence[Value]) -> str:
     if len(args) != d.arity:
         raise ContractViolation(
             f"descriptor takes {d.arity} arguments, got {len(args)}")
-    out = []
+    out = _NO_OUTPUT
     stack = stack_of(args)
     for k, node in enumerate(d.nodes):
-        if type(node) is _Satisfy:
-            v = stack.pop()[0]
-            if not isinstance(v, Char):
-                raise ContractViolation(f"argument {_argument(d, k)}: "
-                                        f"{node.label} wants a Char, got {v!r}")
-        moved = node.print_step(out, len(out), stack)
-        if moved is None:  # only a satisfy whose predicate rejects fails
-            raise ContractViolation(f"argument {_argument(d, k)}: "
-                                    f"{v.c!r} does not satisfy {node.label}")
-        stack = moved[1]
+        try:
+            moved = node.print_step(None, out, stack)
+            if moved is None:  # only a satisfy whose predicate rejects fails
+                raise ContractViolation(
+                    f"{stack.entry.c!r} does not satisfy {node.label}")
+        except ContractViolation as e:
+            if type(node) is not _Satisfy or stack.is_empty():
+                raise  # lead misuse, or an underflow that no argument owns
+            raise ContractViolation(f"argument {_argument(d, k)}: {e}") from None
+        out, stack = moved
     if not stack.is_empty():
         raise ContractViolation(
             f"{stack.size} unconsumed arguments after printing")
-    return "".join(out)
+    return out.text()
 
 
 def _argument(d: Descriptor1, k: int) -> int:

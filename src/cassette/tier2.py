@@ -8,11 +8,13 @@ onto the stack, `many`/`some` iterate, and `defer` ties recursive knots.
 
 The engine is a defunctionalized form of the two-continuation string
 transformers: instead of threading hand-written restoring continuations
-it snapshots (remaining program, input position or emitted length,
-stack) at every choice point and rewinds on failure, which restores
-exactly the state those restoring continuations would rebuild.  Choice
-is unlimited backtracking; a failure after a choice succeeded still
-rewinds into the untried branch.
+it snapshots (remaining program, cursor, stack) at every choice point
+and rewinds on failure to that snapshot alone, which restores exactly
+the state those restoring continuations would rebuild.  All three parts
+are persistent: the cursor is the input position when parsing and the
+`_Output` emitted so far when printing, so nothing needs undoing.
+Choice is unlimited backtracking; a failure after a choice succeeded
+still rewinds into the untried branch.
 
 Failure is recoverable and silent; stack type errors are descriptor
 misuse and raise `ContractViolation` through any amount of choice.
@@ -24,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 from .values import (
     Char, ContractViolation, Int, Iso, List, Pair, Prism, Unit, Value,
-    cons_prism, nil_prism, stack_of,
+    _NO_OUTPUT, _Output, cons_prism, nil_prism, stack_of,
 )
 
 
@@ -62,9 +64,9 @@ class _Alt(Descriptor2):
 
 
 # Leaves.  Each has a parse step and a print step of one shape,
-# `(io, cursor, stack) -> (cursor, stack) | None`, None being failure.
-# Parsing reads the text `io` at offset `cursor`; printing appends to the
-# chunk list `io`, of which `cursor` have been emitted so far.
+# `(text, cursor, stack) -> (cursor, stack) | None`, None being failure.
+# Parsing reads `text` at offset `cursor`; printing ignores `text`, and
+# its cursor is the `_Output` so far, which it returns one chunk longer.
 
 
 class _Fail(Descriptor2):
@@ -73,7 +75,7 @@ class _Fail(Descriptor2):
     def parse_step(self, text, pos, stack):
         return None
 
-    def print_step(self, out, n, stack):
+    def print_step(self, text, out, stack):
         return None
 
 
@@ -89,37 +91,28 @@ class _Satisfy(Descriptor2):
             return pos + 1, stack.deliver(Char(text[pos]))
         return None
 
-    def print_step(self, out, n, stack):
+    def print_step(self, text, out, stack):
         v, rest = stack.pop()
         if not isinstance(v, Char):
             raise ContractViolation(f"{self.label} wants a Char, got {v!r}")
         if not self.pred(v.c):
             return None
-        out.append(v.c)
-        return n + 1, rest
+        return _Output(v.c, out, out.size + 1), rest
 
 
 class _Lit(Descriptor2):
-    __slots__ = ("text", "unit")
+    __slots__ = ("text",)
 
-    def __init__(self, text: str, unit: bool):
+    def __init__(self, text: str):
         self.text = text
-        self.unit = unit
 
     def parse_step(self, text, pos, stack):
         if not text.startswith(self.text, pos):
             return None
-        if self.unit:
-            stack = stack.deliver(Unit())
         return pos + len(self.text), stack
 
-    def print_step(self, out, n, stack):
-        if self.unit:
-            v, stack = stack.pop()
-            if not isinstance(v, Unit):
-                raise ContractViolation(f"lit_unit wants a Unit, got {v!r}")
-        out.append(self.text)
-        return n + 1, stack
+    def print_step(self, text, out, stack):
+        return _Output(self.text, out, out.size + len(self.text)), stack
 
 
 class _PrismLead(Descriptor2):
@@ -132,14 +125,14 @@ class _PrismLead(Descriptor2):
         p = self.prism
         return pos, stack.open_frame(p.tag, p.arity, p.review)
 
-    def print_step(self, out, n, stack):
+    def print_step(self, text, out, stack):
         v, stack = stack.pop()
         components = self.prism.preview(v)
         if components is None:
             return None
         for c in reversed(components):
             stack = stack.push(c)
-        return n, stack
+        return out, stack
 
 
 class _Defer(Descriptor2):
@@ -223,13 +216,23 @@ def digit() -> Descriptor2:
 
 
 def lit(text: str) -> Descriptor2:
-    return _Lit(text, unit=False)
+    return _Lit(text)
+
+
+def _unit_components(v: Value) -> tuple:
+    # a non-Unit is misuse, not a failed match
+    if not isinstance(v, Unit):
+        raise ContractViolation(f"lit_unit wants a Unit, got {v!r}")
+    return ()
+
+
+_UNIT_LEAD = _PrismLead(Prism("unit", 0, _unit_components, lambda xs: Unit()))
 
 
 def lit_unit(text: str) -> Descriptor2:
     """Like `lit`, but also consumes/produces one Unit value, so that
     leads of constant constructors have something to hand over."""
-    return _Lit(text, unit=True)
+    return _UNIT_LEAD + lit(text)
 
 
 def iso_lift(iso: Iso) -> Descriptor2:
@@ -307,17 +310,15 @@ def integer() -> Descriptor2:
 # The machine
 #
 # The remaining program is a cons list of nodes; a choice point snapshots
-# (program, cursor, stack) so failure can rewind, to fewer chunks if printing.
+# (program, cursor, stack), and failure rewinds to that snapshot.
 
 _LEAVES = (_Fail, _Satisfy, _Lit, _PrismLead)
 _PARSE_STEPS = {leaf: leaf.parse_step for leaf in _LEAVES}
 _PRINT_STEPS = {leaf: leaf.print_step for leaf in _LEAVES}
 
 
-def _run(d: Descriptor2, io, stack, printing: bool) -> Optional[tuple]:
-    steps = _PRINT_STEPS if printing else _PARSE_STEPS
+def _run(d: Descriptor2, steps: dict, text, cursor, stack) -> Optional[tuple]:
     work = (d, None)
-    cursor = 0
     alts = []
     while True:
         if work is None:
@@ -326,7 +327,7 @@ def _run(d: Descriptor2, io, stack, printing: bool) -> Optional[tuple]:
         kind = type(node)
         step = steps.get(kind)
         if step is not None:
-            moved = step(node, io, cursor, stack)
+            moved = step(node, text, cursor, stack)
             if moved is not None:
                 cursor, stack = moved
                 continue
@@ -347,23 +348,20 @@ def _run(d: Descriptor2, io, stack, printing: bool) -> Optional[tuple]:
         if not alts:
             return None
         work, cursor, stack = alts.pop()
-        if printing:
-            del io[cursor:]
 
 
 def run_parse(d: Descriptor2, text: str,
               seed: Sequence[Value] = ()) -> Optional[tuple]:
     """Parse a prefix of `text`; (end position, final stack) or None."""
-    return _run(d, text, stack_of(seed), printing=False)
+    return _run(d, _PARSE_STEPS, text, 0, stack_of(seed))
 
 
 def run_print(d: Descriptor2, seed: Sequence[Value] = ()) -> Optional[tuple]:
     """Print from a seeded stack; (emitted text, final stack) or None."""
-    out = []
-    result = _run(d, out, stack_of(seed), printing=True)
+    result = _run(d, _PRINT_STEPS, None, _NO_OUTPUT, stack_of(seed))
     if result is None:
         return None
-    return "".join(out), result[1]
+    return result[0].text(), result[1]
 
 
 def parse(d: Descriptor2, text: str) -> Optional[Value]:

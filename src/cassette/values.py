@@ -1,8 +1,9 @@
-"""Universal runtime values, stacks, isomorphisms and prisms.
+"""Universal runtime values, stacks, output, isomorphisms and prisms.
 
 Every engine in this package moves the same dynamically-typed `Value`
-data through a persistent `Stack`.  Sum types are encoded uniformly as
-`Adt(tag, args)` and taken apart / rebuilt with `Prism` objects.
+data through a persistent `Stack`, and prints into the same persistent
+`_Output`.  Sum types are encoded uniformly as `Adt(tag, args)` and
+taken apart / rebuilt with `Prism` objects.
 """
 
 from __future__ import annotations
@@ -204,21 +205,6 @@ class Adt(Value):
 # Stacks
 
 
-class Val:
-    """Stack entry holding one finished value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Value):
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, Val) and self.value == other.value
-
-    def __repr__(self):
-        return f"Val({self.value!r})"
-
-
 class Pending:
     """Stack entry for a value under construction by a lead-out.
 
@@ -244,7 +230,10 @@ class Pending:
 
 
 class Stack:
-    """Persistent stack, top first.  Push and pop share structure."""
+    """Persistent stack, top first.  Push and pop share structure.
+
+    Each entry is a finished value itself or a `Pending` frame.
+    """
 
     __slots__ = ("entry", "rest", "size")
 
@@ -256,45 +245,38 @@ class Stack:
     def is_empty(self) -> bool:
         return self.size == 0
 
-    def push_entry(self, entry) -> "Stack":
-        return Stack(entry, self, self.size + 1)
-
-    def pop_entry(self):
-        if self.size == 0:
-            raise ContractViolation("stack underflow")
-        return self.entry, self.rest
-
     def push(self, v: Value) -> "Stack":
         """Push a finished value without touching pending frames."""
-        return self.push_entry(Val(v))
+        return Stack(v, self, self.size + 1)
 
     def pop(self):
         """Pop a finished value; pending frames on top are misuse."""
-        entry, rest = self.pop_entry()
-        if not isinstance(entry, Val):
+        if self.size == 0:
+            raise ContractViolation("stack underflow")
+        entry = self.entry
+        if isinstance(entry, Pending):
             raise ContractViolation(f"popped unfinished frame {entry!r}")
-        return entry.value, rest
+        return entry, self.rest
 
     def open_frame(self, tag: str, arity: int,
                    build: Callable[[tuple], Value]) -> "Stack":
         """Start collecting `arity` values for a constructor application."""
         if arity == 0:
             return self.deliver(build(()))
-        return self.push_entry(Pending(tag, arity, (), build))
+        return Stack(Pending(tag, arity, (), build), self, self.size + 1)
 
     def deliver(self, v: Value) -> "Stack":
         """Push a value, feeding and reducing pending frames innermost first."""
         stack = self
-        while True:
-            if stack.size and isinstance(stack.entry, Pending):
-                p = stack.entry
-                got = p.got + (v,)
-                if len(got) < p.arity:
-                    return stack.rest.push_entry(Pending(p.tag, p.arity, got, p.build))
-                v = p.build(got)
-                stack = stack.rest
-            else:
-                return stack.push_entry(Val(v))
+        while isinstance(stack.entry, Pending):  # the empty stack's is None
+            p = stack.entry
+            got = p.got + (v,)
+            if len(got) < p.arity:
+                return Stack(Pending(p.tag, p.arity, got, p.build),
+                             stack.rest, stack.size)
+            v = p.build(got)
+            stack = stack.rest
+        return Stack(v, stack, stack.size + 1)
 
     def entries(self) -> tuple:
         """All entries, top first."""
@@ -307,12 +289,11 @@ class Stack:
 
     def values(self) -> tuple:
         """All values, top first.  Pending frames are a violation."""
-        out = []
-        for entry in self.entries():
-            if not isinstance(entry, Val):
+        entries = self.entries()
+        for entry in entries:
+            if isinstance(entry, Pending):
                 raise ContractViolation(f"unfinished frame left on stack: {entry!r}")
-            out.append(entry.value)
-        return tuple(out)
+        return entries
 
     def __eq__(self, other):
         return isinstance(other, Stack) and self.entries() == other.entries()
@@ -330,6 +311,42 @@ def stack_of(values: Sequence[Value]) -> Stack:
     for v in reversed(values):
         s = s.push(v)
     return s
+
+
+# ---------------------------------------------------------------------------
+# Output
+
+
+class _Output:
+    """Emitted text as a persistent cons of chunks, newest first.
+
+    Appending a chunk shares everything emitted before it, so a run
+    copies no text until `text` joins the chunks once, at its end: the
+    output is a difference list (Hughes, "A novel representation of
+    lists", 1986).  `len` is the number of chars emitted.
+    """
+
+    __slots__ = ("chunk", "rest", "size")
+
+    def __init__(self, chunk: str, rest: Optional["_Output"], size: int):
+        self.chunk = chunk
+        self.rest = rest
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def text(self) -> str:
+        chunks = []
+        out = self
+        while out.size:
+            chunks.append(out.chunk)
+            out = out.rest
+        chunks.reverse()
+        return "".join(chunks)
+
+
+_NO_OUTPUT = _Output("", None, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,19 @@ def test_fmt_print_refuses_a_digit_out_of_range(argv):
     assert len(lines) == 1 and lines[0].startswith("format violation: digit")
 
 
+@pytest.mark.parametrize("argv", [
+    ["fmt", "print", "--", "²", "a", "f"],
+    ["fmt", "print", "--", "--5", "a", "f"],
+    ["fmt", "--tier", "3", "print", "--", "²", "a", "f"],
+    ["fmt", "--tier", "3", "print", "--", "--5", "a", "f"],
+], ids=["t1_superscript", "t1_double_minus", "t3_superscript", "t3_double_minus"])
+def test_fmt_print_refuses_an_int_that_only_looks_like_digits(argv):
+    proc = run_cli(argv)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"usage: cassette fmt print INT CHAR CHAR\n"
+
+
 def test_pretty_refuses_an_unprintable_identifier_on_both_engines():
     for engine in ("cassette", "stacked"):
         for tree in ('{"Var":"1x"}', '{"Var":"b."}'):

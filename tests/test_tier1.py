@@ -1,3 +1,4 @@
+import gc
 import random
 import string
 
@@ -160,6 +161,12 @@ def test_violation_diagnostics_number_the_argument_a_value_came_from():
         tier1.sprintf(d, [Char("a"), Pair(Char("b"), Char("5")), Int(4)])
 
 
+def test_a_satisfy_short_of_arguments_underflows_unnumbered():
+    # the arity check passes: the lead would push the value satisfy wants
+    with pytest.raises(ContractViolation, match=r"^stack underflow$"):
+        tier1.sprintf(tier1.char() + tier1.pair_lead(), [])
+
+
 def test_a_non_pair_under_pair_lead_is_misuse():
     d = tier1.pair_lead() + tier1.char() + tier1.char()
     with pytest.raises(ContractViolation, match="pair lead wants a Pair"):
@@ -220,3 +227,17 @@ def test_scan_ignores_trailing_input():
     spec = tier1.nth_char_format()
     got = tier1.sscanf(spec, "5-th character after a is f, obviously")
     assert got == (Int(5), Char("a"), Char("f"))
+
+
+def test_tier1_runs_leave_no_cyclic_garbage():
+    spec = tier1.nth_char_format()
+    args = (Int(3), Char("a"), Char("b"))
+    line = "3-th character after a is b"
+    gc.collect()
+    gc.disable()
+    try:
+        assert tier1.sprintf(spec, args) == line
+        assert tier1.sscanf(spec, line) == args
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,9 +1,10 @@
+import gc
 import itertools
 import random
 
 import pytest
 
-from cassette import tier2
+from cassette import lam, tier2
 from cassette.values import (
     Adt, Bool, Char, ContractViolation, Int, List, Pair, Text, Unit,
     adt_prism, const_prism,
@@ -178,6 +179,8 @@ def test_lead_misuse_raises_through_choice_instead_of_failing_over():
     for other in (tier2.integer(), tier2.char()):
         with pytest.raises(ContractViolation, match="digit wants 0 to 9"):
             tier2.pretty(tier2.digit() | other, Int(12))
+    with pytest.raises(ContractViolation, match="lit_unit wants a Unit"):
+        tier2.pretty(tier2.lit_unit("T") | tier2.char(), Char("x"))
 
 
 # ---------------------------------------------------------------------------
@@ -405,3 +408,23 @@ def test_long_digit_run_parses_fast_and_flat():
     assert pos == 10000
     assert len(stack.values()[0].items) == 10000
     assert elapsed < 1.0
+
+
+def test_tier2_runs_leave_no_cyclic_garbage():
+    # choice points hold stacks and output chains; a run frees them by
+    # reference counting alone, a rejected one included
+    texts = ("x", "λab.(ab c1)", "((f x) λy.(y y))", "λx." * 40 + "z9")
+    terms = [lam.parse_term(t, "cassette") for t in texts]
+    for text, term in zip(texts, terms):  # grammar forced
+        assert lam.pretty_term(term, "cassette") == text
+    gc.collect()
+    gc.disable()
+    try:
+        for text, term in zip(texts, terms):
+            assert lam.pretty_term(term, "cassette") == text
+            assert lam.parse_term(text, "cassette") == term
+        assert lam.parse_term("(f x", "cassette") is None
+        assert lam.pretty_term(lam.var("1x"), "cassette") is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
