@@ -58,8 +58,15 @@ def _strip_newline(text: str) -> str:
     return text[:-1] if text.endswith("\n") else text
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line: no usage line first, no newline from an argument
+        message = message.replace("\n", "\\n")
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="cassette",
         description="parse and pretty-print with one grammar value")
     sub = top.add_subparsers(dest="command", required=True)
@@ -125,15 +132,12 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_fmt(args) -> int:
     if args.mode == "print":
-        if len(args.args) != 3:
-            _err("usage: cassette fmt print INT CHAR CHAR\n")
-            return 2
-        n, c1, c2 = args.args
         try:
+            n, c1, c2 = args.args
             if not (n.lstrip("-").isdigit() and len(c1) == 1 and len(c2) == 1):
                 raise ValueError
             values = [Int(int(n)), Char(c1), Char(c2)]
-        except ValueError:  # isdigit also passes "²", which int() refuses
+        except ValueError:  # a wrong count, or "²": isdigit passes it
             _err("usage: cassette fmt print INT CHAR CHAR\n")
             return 2
         try:

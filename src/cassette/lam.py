@@ -12,7 +12,7 @@ application.  Alternatives are tried in the order Var, Abs, App, which
 matters because choice is left biased.
 
 Identifiers live as Text inside terms but as lists of characters inside
-the grammar machinery, so both grammars convert at the boundary.
+the grammar machinery, so both grammars lift one iso at the boundary.
 
 One asymmetry between the engines is worth knowing about.  In the
 cassette grammar the application lead attaches outside the parentheses
@@ -26,7 +26,7 @@ phrasing is not used here even though this dynamic engine would run it.
 
 from __future__ import annotations
 
-import json
+import functools
 from typing import Optional
 
 from . import stacked as st
@@ -84,70 +84,59 @@ def _pack(v: Value) -> Value:
     return Text("".join(c.c for c in v.items))
 
 
+_IDENT = Iso("ident", _unpack, _pack)
+
+
 # ---------------------------------------------------------------------------
 # Cassette grammar
 
 
-_TERM2 = None
-
-
+@functools.cache
 def term_cassette() -> t2.Descriptor2:
     """The grammar as a tier-2 descriptor.  Built once, shared freely."""
-    global _TERM2
-    if _TERM2 is None:
-        letter = t2.satisfy(_is_letter, "letter")
-        alnum = t2.satisfy(_is_alnum, "alphanumeric")
-        ident = t2.iso_lift(Iso("ident", _unpack, _pack)) \
-            >> t2.cons_lead() >> letter + t2.many(alnum)
-        var_l = t2.prism_lead(adt_prism("Var", 1))
-        abs_l = t2.prism_lead(adt_prism("Abs", 2))
-        app_l = t2.prism_lead(adt_prism("App", 2))
-        sep = t2.lit(" ")
+    letter = t2.satisfy(_is_letter, "letter")
+    alnum = t2.satisfy(_is_alnum, "alphanumeric")
+    ident = t2.iso_lift(_IDENT) >> t2.cons_lead() >> letter + t2.many(alnum)
+    var_l = t2.prism_lead(adt_prism("Var", 1))
+    abs_l = t2.prism_lead(adt_prism("Abs", 2))
+    app_l = t2.prism_lead(adt_prism("App", 2))
+    sep = t2.lit(" ")
 
-        def parens(p):
-            return t2.lit("(") + p + t2.lit(")")
+    def parens(p):
+        return t2.lit("(") + p + t2.lit(")")
 
-        term = t2.defer(lambda:
-                        var_l >> ident
-                        | abs_l >> t2.lit(LAMBDA) + ident + t2.lit(".") + term
-                        | app_l >> parens(term + sep + term))
-        _TERM2 = term
-    return _TERM2
+    term = t2.defer(lambda:
+                    var_l >> ident
+                    | abs_l >> t2.lit(LAMBDA) + ident + t2.lit(".") + term
+                    | app_l >> parens(term + sep + term))
+    return term
 
 
 # ---------------------------------------------------------------------------
 # Stacked grammar
 
 
-_TERM3 = None
-
-
+@functools.cache
 def term_stacked() -> st.Choice:
     """The same language as a stacked choice action."""
-    global _TERM3
-    if _TERM3 is None:
-        letter = st.alt_satisfy(_is_letter, "letter")
-        alnum = st.alt_satisfy(_is_alnum, "alphanumeric")
-        to_chars = st.alt_stack_guard(
-            lambda fl, k: st.consume(lambda v: st.supply(k, _unpack(v))),
-            lambda fl: st.consume(lambda w: st.supply(fl, _pack(w))))
-        ident = to_chars.right(
-            st.alt_cons_lead().ap(letter).ap(st.alt_many(alnum)).map(_pack))
-        var_l = st.alt_prism_lead(adt_prism("Var", 1))
-        abs_l = st.alt_prism_lead(adt_prism("Abs", 2))
-        app_l = st.alt_prism_lead(adt_prism("App", 2))
-        sep = st.alt_lit(" ")
+    letter = st.alt_satisfy(_is_letter, "letter")
+    alnum = st.alt_satisfy(_is_alnum, "alphanumeric")
+    ident = st.alt_prism_lead(_IDENT).ap(
+        st.alt_cons_lead().ap(letter).ap(st.alt_many(alnum)))
+    var_l = st.alt_prism_lead(adt_prism("Var", 1))
+    abs_l = st.alt_prism_lead(adt_prism("Abs", 2))
+    app_l = st.alt_prism_lead(adt_prism("App", 2))
+    sep = st.alt_lit(" ")
 
-        def parens(p):
-            return st.alt_lit("(").right(p).left(st.alt_lit(")"))
+    def parens(p):
+        return st.alt_lit("(").right(p).left(st.alt_lit(")"))
 
-        term = st.alt_defer(lambda:
-                            var_l.ap(ident)
-                            | abs_l.left(st.alt_lit(LAMBDA)).ap(ident)
-                                   .left(st.alt_lit(".")).ap(term)
-                            | parens(app_l.ap(term).left(sep).ap(term)))
-        _TERM3 = term
-    return _TERM3
+    term = st.alt_defer(lambda:
+                        var_l.ap(ident)
+                        | abs_l.left(st.alt_lit(LAMBDA)).ap(ident)
+                               .left(st.alt_lit(".")).ap(term)
+                        | parens(app_l.ap(term).left(sep).ap(term)))
+    return term
 
 
 # ---------------------------------------------------------------------------

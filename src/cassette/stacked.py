@@ -45,6 +45,7 @@ reference counting as soon as the run returns.
 
 from __future__ import annotations
 
+import functools
 import sys
 import threading
 from typing import Callable, Optional, Sequence
@@ -275,6 +276,50 @@ def _emit(chunk: str):
     return lambda wk, fl: wk.trace(chunk)(Unit())(fl)
 
 
+def _curried(build: Callable[[tuple], Value], arity: int):
+    def step(got):
+        if len(got) == arity:
+            return build(got)
+        return lambda v: step(got + (v,))
+    return step(())
+
+
+def _unroll(prism: Prism, fl: Answer, got: tuple) -> Answer:
+    """Pop the components still missing from `got`, rebuild the value
+    and hand it to fl.  Module-level, not a closure that names itself:
+    that closure would be a reference cycle made per prism match, and
+    it would keep fl, and the continuation chain behind it, for the
+    cyclic collector to find."""
+    if len(got) == prism.arity:
+        return supply(fl, prism.review(got))
+    return consume(lambda v: _unroll(prism, fl, got + (v,)))
+
+
+def _prism_lead(cls, prism: Prism):
+    """Lift a prism: the print side deconstructs the top value into its
+    components (or fails over), the parse side returns the curried
+    constructor for the results that follow.  A `Linear` run has no
+    failure answer to take, so as a `Linear` this is sound only for
+    prisms that always match, such as an `Iso`."""
+    constructor = _curried(prism.review, prism.arity)
+
+    def pr(wk, fl):
+        def on_top(v):
+            components = prism.preview(v)
+            if components is None:
+                return supply(fl, v)
+            # the rest runs only now: before the match, anything it
+            # emits would be emitted by a branch that fails
+            answer = wk.extract()(constructor)(_unroll(prism, fl, ()))
+            # supplied first means popped first: first component on top
+            for c in components:
+                answer = supply(answer, c)
+            return answer
+        return consume(on_top)
+
+    return cls(pr, lambda s, i: (constructor, i))
+
+
 # ---------------------------------------------------------------------------
 # Linear leaves
 
@@ -355,9 +400,7 @@ def lin_char() -> Linear:
 
 def lin_digit() -> Linear:
     """One decimal digit as an Int."""
-    iso = digit_iso()
-    to_char = lin_stack_map(lambda k: consume(lambda v: supply(k, iso.to(v))))
-    return Linear.ret(iso.from_).left(to_char).ap(
+    return _prism_lead(Linear, digit_iso()).ap(
         lin_satisfy(is_ascii_digit, "digit"))
 
 
@@ -437,57 +480,13 @@ def alt_lit(text: str) -> Choice:
 
 def alt_defer(thunk: Callable[[], Choice]) -> Choice:
     """Delay construction until first use, for recursive grammars."""
-    built = []
-
-    def force():
-        if not built:
-            built.append(thunk())
-        return built[0]
-
+    force = functools.cache(thunk)
     return Choice(lambda wk, fl: force().pr(wk, fl),
                   lambda s, i: force().pa(s, i))
 
 
-def _curried(build: Callable[[tuple], Value], arity: int):
-    def step(got):
-        if len(got) == arity:
-            return build(got)
-        return lambda v: step(got + (v,))
-    return step(())
-
-
-def _unroll(prism: Prism, fl: Answer, got: tuple) -> Answer:
-    """Pop the components still missing from `got`, rebuild the value
-    and hand it to fl.  Module-level, not a closure that names itself:
-    that closure would be a reference cycle made per prism match, and
-    it would keep fl, and the continuation chain behind it, for the
-    cyclic collector to find."""
-    if len(got) == prism.arity:
-        return supply(fl, prism.review(got))
-    return consume(lambda v: _unroll(prism, fl, got + (v,)))
-
-
 def alt_prism_lead(prism: Prism) -> Choice:
-    """Lift a prism: the print side deconstructs the top value into its
-    components (or fails over), the parse side returns the curried
-    constructor for the results that follow."""
-    constructor = _curried(prism.review, prism.arity)
-
-    def pr(wk, fl):
-        def on_top(v):
-            components = prism.preview(v)
-            if components is None:
-                return supply(fl, v)
-            # the rest runs only now: before the match, anything it
-            # emits would be emitted by a branch that fails
-            answer = wk.extract()(constructor)(_unroll(prism, fl, ()))
-            # supplied first means popped first: first component on top
-            for c in components:
-                answer = supply(answer, c)
-            return answer
-        return consume(on_top)
-
-    return Choice(pr, lambda s, i: (constructor, i))
+    return _prism_lead(Choice, prism)
 
 
 def alt_cons_lead() -> Choice:

@@ -5,6 +5,7 @@ value stack, but every mismatch now flows to a failure continuation
 instead of blowing up, and `choice` composes descriptors vertically.
 That is enough to express full context-free grammars: leads lift prisms
 onto the stack, `many`/`some` iterate, and `defer` ties recursive knots.
+Like `+`, `|` flattens into one node; its unit `fail()` has no branches.
 
 The engine is a defunctionalized form of the two-continuation string
 transformers: instead of threading hand-written restoring continuations
@@ -22,6 +23,7 @@ misuse and raise `ContractViolation` through any amount of choice.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional, Sequence
 
 from .values import (
@@ -56,27 +58,17 @@ class _Seq(Descriptor2):
 
 
 class _Alt(Descriptor2):
-    __slots__ = ("left", "right")
+    __slots__ = ("branches", "untried")
 
-    def __init__(self, left: Descriptor2, right: Descriptor2):
-        self.left = left
-        self.right = right
+    def __init__(self, branches: tuple):
+        self.branches = branches
+        self.untried = branches[:0:-1]  # the rest reversed: they pop in order
 
 
 # Leaves.  Each has a parse step and a print step of one shape,
 # `(text, cursor, stack) -> (cursor, stack) | None`, None being failure.
 # Parsing reads `text` at offset `cursor`; printing ignores `text`, and
 # its cursor is the `_Output` so far, which it returns one chunk longer.
-
-
-class _Fail(Descriptor2):
-    __slots__ = ()
-
-    def parse_step(self, text, pos, stack):
-        return None
-
-    def print_step(self, text, out, stack):
-        return None
 
 
 class _Satisfy(Descriptor2):
@@ -136,17 +128,11 @@ class _PrismLead(Descriptor2):
 
 
 class _Defer(Descriptor2):
-    __slots__ = ("thunk", "built")
+    __slots__ = ("force",)
 
     def __init__(self, thunk: Callable[[], Descriptor2]):
-        self.thunk = thunk
-        self.built = None
-
-    def force(self) -> Descriptor2:
-        # Construction is pure, so a racing first use is harmless.
-        if self.built is None:
-            self.built = self.thunk()
-        return self.built
+        # construction is pure, so a racing first use is harmless
+        self.force = functools.cache(thunk)
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +156,15 @@ def compose(*descriptors: Descriptor2) -> Descriptor2:
 
 def choice(a: Descriptor2, b: Descriptor2) -> Descriptor2:
     """Try a; on any later failure before the next choice point, try b."""
-    return _Alt(a, b)
+    branches = ()
+    for d in (a, b):
+        branches += d.branches if isinstance(d, _Alt) else (d,)
+    return _Alt(branches)
 
 
 def fail() -> Descriptor2:
-    """Always fails; the unit of choice."""
-    return _Fail()
+    """Always fails: the choice with no branches, the unit of `|`."""
+    return _Alt(())
 
 
 def optional(p: Descriptor2) -> Descriptor2:
@@ -237,8 +226,7 @@ def lit_unit(text: str) -> Descriptor2:
 
 def iso_lift(iso: Iso) -> Descriptor2:
     """Map the top value through an iso: a prism lead that always matches."""
-    return _PrismLead(Prism(iso.name, 1, lambda v: (iso.to(v),),
-                            lambda xs: iso.from_(xs[0])))
+    return _PrismLead(iso)
 
 
 def prism_lead(prism: Prism) -> Descriptor2:
@@ -312,7 +300,7 @@ def integer() -> Descriptor2:
 # The remaining program is a cons list of nodes; a choice point snapshots
 # (program, cursor, stack), and failure rewinds to that snapshot.
 
-_LEAVES = (_Fail, _Satisfy, _Lit, _PrismLead)
+_LEAVES = (_Satisfy, _Lit, _PrismLead)
 _PARSE_STEPS = {leaf: leaf.parse_step for leaf in _LEAVES}
 _PRINT_STEPS = {leaf: leaf.print_step for leaf in _LEAVES}
 
@@ -336,9 +324,11 @@ def _run(d: Descriptor2, steps: dict, text, cursor, stack) -> Optional[tuple]:
                 work = (item, work)
             continue
         elif kind is _Alt:
-            alts.append(((node.right, work), cursor, stack))
-            work = (node.left, work)
-            continue
+            if node.branches:  # no branches is failure
+                for branch in node.untried:
+                    alts.append(((branch, work), cursor, stack))
+                work = (node.branches[0], work)
+                continue
         elif kind is _Defer:
             work = (node.force(), work)
             continue

@@ -1,9 +1,9 @@
-"""Universal runtime values, stacks, output, isomorphisms and prisms.
+"""Universal runtime values, stacks, output, prisms and isomorphisms.
 
 Every engine in this package moves the same dynamically-typed `Value`
 data through a persistent `Stack`, and prints into the same persistent
 `_Output`.  Sum types are encoded uniformly as `Adt(tag, args)` and
-taken apart / rebuilt with `Prism` objects.
+taken apart / rebuilt with `Prism` objects; an `Iso` always matches.
 """
 
 from __future__ import annotations
@@ -350,48 +350,6 @@ _NO_OUTPUT = _Output("", None, 0)
 
 
 # ---------------------------------------------------------------------------
-# Isomorphisms
-
-
-class Iso:
-    """A named pair of mutually inverse value maps.
-
-    `to` is applied when printing (outer form to inner form), `from_`
-    when parsing (inner form back to outer form).
-    """
-
-    __slots__ = ("name", "to", "from_")
-
-    def __init__(self, name: str, to: Callable[[Value], Value],
-                 from_: Callable[[Value], Value]):
-        self.name = name
-        self.to = to
-        self.from_ = from_
-
-    def __repr__(self):
-        return f"Iso({self.name})"
-
-
-def pair_iso() -> Iso:
-    """Witness of currying: Pair(a, b) against its two-component view."""
-    def split(v: Value) -> Value:
-        if not isinstance(v, Pair):
-            raise ContractViolation(f"pair_iso.to wants a Pair, got {v!r}")
-        return List((v.first, v.second))
-
-    def join(v: Value) -> Value:
-        if not isinstance(v, List) or len(v.items) != 2:
-            raise ContractViolation(f"pair_iso.from_ wants two components, got {v!r}")
-        return Pair(v.items[0], v.items[1])
-
-    return Iso("pair", split, join)
-
-
-def identity_iso() -> Iso:
-    return Iso("id", lambda v: v, lambda v: v)
-
-
-# ---------------------------------------------------------------------------
 # Prisms
 
 
@@ -420,6 +378,46 @@ class Prism:
 
     def __repr__(self):
         return f"Prism({self.tag}/{self.arity})"
+
+
+class Iso(Prism):
+    """A named pair of mutually inverse value maps: the prism of a
+    constructor that always matches, with the one component `to(v)`.
+
+    `to` is applied when printing (outer form to inner form), `from_`
+    when parsing (inner form back to outer form).
+    """
+
+    __slots__ = ("name", "to", "from_")
+
+    def __init__(self, name: str, to: Callable[[Value], Value],
+                 from_: Callable[[Value], Value]):
+        super().__init__(name, 1, lambda v: (to(v),), lambda xs: from_(xs[0]))
+        self.name = name
+        self.to = to
+        self.from_ = from_
+
+    def __repr__(self):
+        return f"Iso({self.name})"
+
+
+def pair_iso() -> Iso:
+    """Witness of currying: Pair(a, b) against its two-component view."""
+    def split(v: Value) -> Value:
+        if not isinstance(v, Pair):
+            raise ContractViolation(f"pair_iso.to wants a Pair, got {v!r}")
+        return List((v.first, v.second))
+
+    def join(v: Value) -> Value:
+        if not isinstance(v, List) or len(v.items) != 2:
+            raise ContractViolation(f"pair_iso.from_ wants two components, got {v!r}")
+        return Pair(v.items[0], v.items[1])
+
+    return Iso("pair", split, join)
+
+
+def identity_iso() -> Iso:
+    return Iso("id", lambda v: v, lambda v: v)
 
 
 def adt_prism(tag: str, arity: int) -> Prism:

@@ -39,6 +39,23 @@ def test_unknown_flags_are_rejected():
 
 
 @pytest.mark.parametrize("argv", [
+    ["parse", "--bogus"],
+    ["parse", "--engine", "x"],
+    ["fmt", "--tier", "2", "print", "1", "a", "b"],
+    ["nosuch"],
+    [],
+    ["parse", "x\ny"],
+], ids=["bogus_flag", "bad_engine", "bad_tier", "bad_command", "no_command",
+        "newline_in_argument"])
+def test_a_usage_error_is_one_stderr_line(argv):
+    proc = run_cli(argv, "x\n")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"cassette")
+    assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+
+
+@pytest.mark.parametrize("argv", [
     ["fmt", "print", "12", "a", "f"],
     ["fmt", "print", "--", "-3", "a", "f"],
     ["fmt", "--tier", "3", "print", "12", "a", "f"],

@@ -11,7 +11,7 @@ import pytest
 
 from cassette import cli, lam, stacked as st, tier2
 from cassette.values import (
-    Adt, Bool, Char, ContractViolation, Int, List, Pair, Text, Unit,
+    Adt, Bool, Char, ContractViolation, Int, Iso, List, Pair, Text, Unit,
     adt_prism, const_prism,
 )
 
@@ -335,6 +335,35 @@ def test_many_prints_lists():
     assert st.pretty(st.alt_many(letter), chars("a1")) is None
     # the empty case matches only the empty list
     assert st.pretty(st.alt_many(letter), Text("abc")) is None
+
+
+def test_an_iso_lifts_through_the_prism_lead_like_tier_2_iso_lift():
+    digit = st.alt_satisfy(tier2.is_ascii_digit, "digit")
+    number = st.alt_prism_lead(tier2.int_text_iso()).ap(st.alt_some(digit))
+    number2 = tier2.iso_lift(tier2.int_text_iso()) + tier2.some(
+        tier2.satisfy(tier2.is_ascii_digit, "digit"))
+    for n in (0, 7, 45, 1234567890, -5):
+        assert st.pretty(number, Int(n)) == tier2.pretty(number2, Int(n))
+    for text in ("0", "45", "0042x", "", "x"):
+        assert st.parse(number, text) == tier2.parse(number2, text)
+
+
+def test_a_later_failure_hands_the_next_branch_the_value_rebuilt_by_from():
+    iso = tier2.int_text_iso()
+    rebuilt = []
+
+    def from_(v):
+        rebuilt.append(v)
+        return iso.from_(v)
+
+    binary = st.alt_satisfy(lambda c: c in "01", "binary digit")
+    lead = st.alt_prism_lead(Iso("int", iso.to, from_))
+    # "12" prints its "1", then fails on "2" and retries the other branch
+    d = lead.ap(st.alt_some(binary)) | st.alt_pop()
+    text, result, stack = st.run_choice_print(d, [Int(12)])
+    assert (text, result) == ("", Int(12)) and stack.is_empty()
+    assert rebuilt == [chars("12")]
+    assert st.run_choice_print(d, [Int(10)])[:2] == ("10", Int(10))
 
 
 def test_lit_parse_fails_recoverably():

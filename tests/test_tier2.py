@@ -62,6 +62,15 @@ def test_fail_is_a_unit_for_choice():
         assert outcome_parse(d | tier2.fail(), text) == outcome_parse(d, text)
 
 
+def test_choice_is_one_flat_node_whose_empty_form_is_fail():
+    a, b, c = tier2.lit("a"), tier2.lit("b"), tier2.lit("c")
+    for d in ((a | b) | c, a | (b | c), tier2.fail() | a | b | c):
+        assert type(d) is tier2._Alt and d.branches == (a, b, c)
+    assert type(tier2.fail()) is tier2._Alt and tier2.fail().branches == ()
+    assert tier2.run_parse(tier2.fail(), "a") is None
+    assert [tier2.run_parse((a | b) | c, t)[0] for t in "abc"] == [1, 1, 1]
+
+
 def test_optional_consumes_nothing_on_mismatch():
     d = tier2.optional(tier2.lit("hi"))
     pos, stack = tier2.run_parse(d, "xx")

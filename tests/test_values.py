@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from cassette import tier2
 from cassette.values import (
-    Adt, Bool, Char, ContractViolation, Int, List, Pair, Text,
-    Unit, adt_prism, cons_prism, const_prism, nil_prism, pair_iso,
-    stack_of, value_from_json, value_to_json, EMPTY_STACK,
+    Adt, Bool, Char, ContractViolation, Int, List, Pair, Prism, Text,
+    Unit, adt_prism, cons_prism, const_prism, identity_iso, nil_prism,
+    pair_iso, stack_of, value_from_json, value_to_json, EMPTY_STACK,
 )
 
 
@@ -293,3 +294,29 @@ def test_json_rejects_garbage():
     assert value_from_json("{boom") is None
     assert value_from_json('{"a":1,"b":2}') is None
     assert value_from_json("1.5") is None
+
+
+# ---------------------------------------------------------------------------
+# Isos are the prisms that always match
+
+
+def _shipped_isos():
+    pairs = [v for v in UNIVERSE if isinstance(v, Pair)]
+    ints = [Int(n) for n in (0, 7, 9, 10, 45, 1234567890)]
+    return [
+        (pair_iso(), "Iso(pair)", pairs),
+        (identity_iso(), "Iso(id)", UNIVERSE),
+        (tier2.digit_iso(), "Iso(digit)", [Int(n) for n in range(10)]),
+        (tier2.int_text_iso(), "Iso(int)", ints),
+    ]
+
+
+@pytest.mark.parametrize("iso, shown, domain", _shipped_isos(),
+                         ids=["pair", "id", "digit", "int"])
+def test_a_shipped_iso_is_an_arity_one_prism(iso, shown, domain):
+    assert isinstance(iso, Prism)
+    assert (iso.tag, iso.arity) == (iso.name, 1)
+    assert repr(iso) == shown
+    for v in domain:
+        assert iso.preview(v) == (iso.to(v),)
+        assert iso.review((iso.to(v),)) == v
