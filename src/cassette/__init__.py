@@ -9,8 +9,8 @@ of increasing power live side by side:
                with a forward parser: one machine, whose linear flavour
                is its choice flavour without `|`
 
-`lam` builds the flagship lambda-calculus grammar on the last two, and
-`cli` exposes everything as a command line tool.
+`lam` writes the flagship lambda-calculus grammar once, for the last two,
+and `cli` exposes everything as a command line tool.
 """
 
 from .values import (

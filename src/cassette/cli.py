@@ -24,12 +24,14 @@ from .values import Char, ContractViolation, Int, List
 
 
 def _out(text: str) -> None:
-    sys.stdout.buffer.write(text.encode("utf-8"))
+    sys.stdout.buffer.write(text.encode("utf-8", "backslashreplace"))
     sys.stdout.buffer.flush()
 
 
-def _err(text: str) -> None:
-    sys.stderr.buffer.write(text.encode("utf-8"))
+def _err(message: str) -> None:
+    """Write one stderr line; a newline inside the message shows as \\n."""
+    line = message.replace("\n", "\\n") + "\n"
+    sys.stderr.buffer.write(line.encode("utf-8", "backslashreplace"))
     sys.stderr.buffer.flush()
 
 
@@ -60,9 +62,8 @@ def _strip_newline(text: str) -> str:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        # one line: no usage line first, no newline from an argument
-        message = message.replace("\n", "\\n")
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        _err(f"{self.prog}: error: {message}")  # no usage line first
+        self.exit(2)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,7 +98,7 @@ def _cmd_parse(args) -> int:
     text = _strip_newline(_read_input(args.input))
     term = lam.parse_term(text, args.engine)
     if term is None:
-        _err("parse failed: not a term\n")
+        _err("parse failed: not a term")
         return 1
     _out(lam.term_to_json(term) + "\n")
     return 0
@@ -106,11 +107,11 @@ def _cmd_parse(args) -> int:
 def _cmd_pretty(args) -> int:
     term = lam.term_from_json(_read_input(args.input))
     if term is None:
-        _err("pretty failed: not a term syntax tree\n")
+        _err("pretty failed: not a term syntax tree")
         return 1
     text = lam.pretty_term(term, args.engine)
     if text is None:
-        _err("pretty failed: term has no printable form\n")
+        _err("pretty failed: term has no printable form")
         return 1
     _out(text + "\n")
     return 0
@@ -120,11 +121,11 @@ def _cmd_roundtrip(args) -> int:
     text = _strip_newline(_read_input(args.input))
     term = lam.parse_term(text, args.engine)
     if term is None:
-        _err("parse failed: not a term\n")
+        _err("parse failed: not a term")
         return 1
     canonical = lam.pretty_term(term, args.engine)
     if canonical is None:
-        _err("pretty failed: term has no printable form\n")
+        _err("pretty failed: term has no printable form")
         return 1
     _out(canonical + "\n")
     return 0
@@ -138,7 +139,7 @@ def _cmd_fmt(args) -> int:
                 raise ValueError
             values = [Int(int(n)), Char(c1), Char(c2)]
         except ValueError:  # a wrong count, or "²": isdigit passes it
-            _err("usage: cassette fmt print INT CHAR CHAR\n")
+            _err("usage: cassette fmt print INT CHAR CHAR")
             return 2
         try:
             if args.tier == 1:
@@ -146,26 +147,26 @@ def _cmd_fmt(args) -> int:
             else:
                 line = stacked.sprintf(stacked.nth_char_format(), values)
         except ContractViolation as e:
-            _err(f"format violation: {e}\n")
+            _err(f"format violation: {e}")
             return 2
         _out(line + "\n")
         return 0
 
     if len(args.args) != 1:
-        _err("usage: cassette fmt scan TEXT\n")
+        _err("usage: cassette fmt scan TEXT")
         return 2
     text = args.args[0]
     if args.tier == 1:
         try:
             values = tier1.sscanf(tier1.nth_char_format(), text)
         except ContractViolation as e:
-            _err(f"scan violation: {e}\n")
+            _err(f"scan violation: {e}")
             return 2
     else:
         try:
             scanned = stacked.sscanf(stacked.nth_char_format(), text)
         except ContractViolation:
-            _err("scan failed: input does not match\n")
+            _err("scan failed: input does not match")
             return 1
         assert isinstance(scanned, List)
         values = scanned.items
@@ -177,12 +178,12 @@ def _cmd_fmt(args) -> int:
 def _cmd_test_corpus(args) -> int:
     directory = pathlib.Path(args.directory)
     if not directory.is_dir():
-        _err(f"not a directory: {directory}\n")
+        _err(f"not a directory: {directory}")
         return 2
     cases = sorted(p for p in directory.glob("*.lam")
                    if not p.name.endswith(".canon.lam"))
     if not cases:
-        _err(f"no .lam files in {directory}\n")
+        _err(f"no .lam files in {directory}")
         return 2
     passed = 0
     for case in cases:
@@ -229,10 +230,10 @@ def main(argv=None) -> int:
             return _cmd_fmt(args)
         return _cmd_test_corpus(args)
     except OSError as e:
-        _err(f"i/o error: {e}\n")
+        _err(f"i/o error: {e}")
         return 2
     except ContractViolation as e:
-        _err(f"contract violation: {e}\n")
+        _err(f"contract violation: {e}")
         return 2
 
 

@@ -1,4 +1,4 @@
-"""The lambda-calculus grammar, built twice over shared Term values.
+"""The lambda-calculus grammar, written once over shared Term values.
 
 Terms are Adt-encoded: ``Var(name)``, ``Abs(binder, body)``,
 ``App(fun, arg)``.  The surface syntax is exactly::
@@ -12,16 +12,9 @@ application.  Alternatives are tried in the order Var, Abs, App, which
 matters because choice is left biased.
 
 Identifiers live as Text inside terms but as lists of characters inside
-the grammar machinery, so both grammars lift one iso at the boundary.
-
-One asymmetry between the engines is worth knowing about.  In the
-cassette grammar the application lead attaches outside the parentheses
-(`app_l >> parens(...)`), since leads and literals all live on one
-stack.  In the stacked grammar the lead is applied inside
-(`parens(app_l.ap(term)...)`) so that its two components are consumed
-directly by the sub-term actions; hoisting it out would separate the
-lead from its components under the indexed typing discipline, so that
-phrasing is not used here even though this dynamic engine would run it.
+the grammar, which lifts one iso at the boundary.  The grammar is a
+tier-2 descriptor; the stacked engine runs it compiled by
+`stacked.from_descriptor`.
 """
 
 from __future__ import annotations
@@ -88,7 +81,7 @@ _IDENT = Iso("ident", _unpack, _pack)
 
 
 # ---------------------------------------------------------------------------
-# Cassette grammar
+# The grammar
 
 
 @functools.cache
@@ -112,31 +105,10 @@ def term_cassette() -> t2.Descriptor2:
     return term
 
 
-# ---------------------------------------------------------------------------
-# Stacked grammar
-
-
 @functools.cache
 def term_stacked() -> st.Choice:
-    """The same language as a stacked choice action."""
-    letter = st.alt_satisfy(_is_letter, "letter")
-    alnum = st.alt_satisfy(_is_alnum, "alphanumeric")
-    ident = st.alt_prism_lead(_IDENT).ap(
-        st.alt_cons_lead().ap(letter).ap(st.alt_many(alnum)))
-    var_l = st.alt_prism_lead(adt_prism("Var", 1))
-    abs_l = st.alt_prism_lead(adt_prism("Abs", 2))
-    app_l = st.alt_prism_lead(adt_prism("App", 2))
-    sep = st.alt_lit(" ")
-
-    def parens(p):
-        return st.alt_lit("(").right(p).left(st.alt_lit(")"))
-
-    term = st.alt_defer(lambda:
-                        var_l.ap(ident)
-                        | abs_l.left(st.alt_lit(LAMBDA)).ap(ident)
-                               .left(st.alt_lit(".")).ap(term)
-                        | parens(app_l.ap(term).left(sep).ap(term)))
-    return term
+    """The same grammar, compiled to a stacked choice action."""
+    return st.from_descriptor(term_cassette())
 
 
 # ---------------------------------------------------------------------------

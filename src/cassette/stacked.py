@@ -39,6 +39,7 @@ Actions are staged: `ap`, `left`, `right` and `map` wire both actions'
 sides together once, when the action is built, and leaves print and
 match directly, literals whole.  Running a grammar built from these
 builds no further actions; only `bind` makes its next action per value.
+`from_descriptor` builds them from a tier-2 descriptor, once.
 A print run makes no reference cycles, so what it allocates is freed by
 reference counting as soon as the run returns.
 """
@@ -50,7 +51,8 @@ import sys
 import threading
 from typing import Callable, Optional, Sequence
 
-from .tier2 import digit_iso, is_ascii_digit
+from .tier2 import (Descriptor2, _Alt, _Defer, _Lit, _PrismLead, _Satisfy,
+                    _Seq, digit_iso, is_ascii_digit)
 from .values import (
     Char, ContractViolation, List, Pair, Prism, Stack, Unit, Value,
     _NO_OUTPUT, _Output, cons_prism, nil_prism, stack_of,
@@ -506,6 +508,67 @@ def alt_some_with(p: Choice, rest: Choice) -> Choice:
 def alt_some(p: Choice) -> Choice:
     """One or more p as a List."""
     return alt_some_with(p, alt_many(p))
+
+
+def from_descriptor(d: Descriptor2) -> Choice:
+    """The `Choice` of a tier-2 descriptor, wired once, when it is built.
+
+    Leaves become `alt_lit` and `alt_satisfy`, a defer `alt_defer` and a
+    choice `|`.  In a sequence a prism lead opens, a later item joins the
+    innermost open lead with `ap`, or `left` if it yields no value, and a
+    full lead is one value; a valueless prefix joins it with `right`.
+    Parse-side choice stays committed (see `Choice`).  Refuses, with
+    `ContractViolation`, a choice whose branches yield unequal numbers of
+    values, a sequence that yields two, a defer that yields other than
+    one, and a lead short of components.
+    """
+    defers = {}
+
+    def compile_(node):  # (action, the number of values it yields)
+        kind = type(node)
+        if kind is _Lit:
+            return alt_lit(node.text), 0
+        if kind is _Satisfy:
+            return alt_satisfy(node.pred, node.label), 1
+        if kind is _Alt:
+            compiled = list(map(compile_, node.branches)) or [(Choice.fail(), 1)]
+            actions, counts = zip(*compiled)
+            if len(set(counts)) > 1:
+                raise ContractViolation(f"choice branches yield {counts} values")
+            return functools.reduce(Choice.alt, actions), counts[0]
+        if kind is _Defer:
+            if node not in defers:
+                defers[node] = alt_defer(lambda: body)
+                body, count = compile_(node.force())
+                if count != 1:
+                    raise ContractViolation(f"a defer yields {count} values")
+            return defers[node], 1
+        if kind is not _Seq and kind is not _PrismLead:
+            raise ContractViolation(f"not a descriptor: {node!r}")
+        open_ = [[None, 1]]  # [action, values wanted]: the sequence, open leads
+        for item in node.items if kind is _Seq else (node,):
+            if type(item) is _PrismLead:
+                open_.append([_prism_lead(Choice, item.prism), item.prism.arity])
+            else:
+                join(open_, *compile_(item))
+            while len(open_) > 1 and not open_[-1][1]:
+                join(open_, open_.pop()[0], 1)
+        if len(open_) > 1:
+            raise ContractViolation(f"a lead lacks {open_[-1][1]} components")
+        action, wanted = open_[0]
+        return action or alt_lit(""), 1 - wanted
+
+    def join(open_, action, count):
+        top = open_[-1]
+        if count > top[1]:
+            raise ContractViolation("a sequence yields two values outside a lead")
+        top[1] -= count
+        if top[0] is not None:
+            combine = Choice.ap if len(open_) > 1 else Choice.right
+            action = (combine if count else Choice.left)(top[0], action)
+        top[0] = action
+
+    return compile_(d)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -158,3 +158,43 @@ def test_non_utf8_corpus_file_is_an_io_error(tmp_path):
     proc = run_cli(["test-corpus", str(tmp_path)])
     _one_io_error(proc)
     assert proc.stdout == b"PASS a_ok.lam\n"
+
+
+def _corpus_with_an_undecodable_name(tmp_path):
+    for suffix, body in ((".lam", b"x\n"), (".json", b'{"Var":"x"}\n'),
+                         (".canon.lam", b"x\n")):
+        (tmp_path / f"x\udcff{suffix}").write_bytes(body)
+    return ["test-corpus", str(tmp_path)]
+
+
+def _undecodable_input_at_a_path_with_a_newline(tmp_path):
+    path = tmp_path / "a\nb.lam"
+    path.write_bytes(b"\xff\n")
+    return ["parse", "--input", str(path)]
+
+
+# "\udcff" is how Python hands over the byte 0xff of an argument or a
+# file name that is not UTF-8
+@pytest.mark.parametrize("argv, code", [
+    (["fmt", "print", "1", "\udcff", "b"], 0),
+    (["fmt", "--tier", "3", "print", "1", "\udcff", "b"], 0),
+    (["fmt", "scan", "5-th character after \udcff is b"], 0),
+    (["fmt", "--tier", "3", "scan", "5-th character after \udcff is b"], 0),
+    (_corpus_with_an_undecodable_name, 0),
+    (["test-corpus", "no\nsuch"], 2),
+    (_undecodable_input_at_a_path_with_a_newline, 2),
+], ids=["fmt_print_t1", "fmt_print_t3", "fmt_scan_t1", "fmt_scan_t3",
+        "corpus_case_name", "corpus_dir_newline", "input_path_newline"])
+def test_odd_arguments_neither_crash_nor_split_a_failure(argv, code, tmp_path):
+    if callable(argv):
+        argv = argv(tmp_path)
+    proc = run_cli(argv)
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stderr == b""
+        assert b"\\udcff" in proc.stdout
+    else:
+        assert proc.stdout == b""
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+        assert b"\\n" in proc.stderr

@@ -89,3 +89,31 @@ def test_every_run_ends_in_a_documented_exit_and_one_line(argv, stdin):
     else:
         assert out == b""
         assert err.count(b"\n") == 1 and err.endswith(b"\n"), err
+
+
+# A lone surrogate is how Python hands over a byte of argv that is not
+# UTF-8; it and a newline go into printed chars, scanned text and paths.
+ODD = hs.one_of(hs.sampled_from(["\udcff", "\n"]),
+                hs.text(alphabet="a\n\udcff", max_size=4))
+TIER = hs.sampled_from([[], ["--tier", "3"]])
+ODD_ARGV = hs.one_of(
+    hs.tuples(TIER, hs.sampled_from(["1", "5"]), ODD, ODD)
+      .map(lambda t: ["fmt", *t[0], "print", *t[1:]]),
+    hs.tuples(TIER, ODD, ODD)
+      .map(lambda t: ["fmt", *t[0], "scan", f"5-th character after {t[1]} is {t[2]}"]),
+    ODD.map(lambda s: ["test-corpus", MISSING + s]),
+    hs.tuples(TERM_COMMAND, ODD).map(lambda t: [*t[0], "--input", MISSING + t[1]]),
+    hs.lists(hs.one_of(JUNK, ODD), max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ODD_ARGV, STDIN)
+def test_argv_holding_a_surrogate_or_newline_ends_in_one_line(argv, stdin):
+    code, out, err = run_main(argv, stdin)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == b""
+    else:
+        assert out == b""
+        assert err.count(b"\n") == 1 and err.endswith(b"\n"), err
