@@ -9,15 +9,18 @@ result as the monadic value and ignores the stack entirely.
 Printing is an effect added to continuations through an output comonad:
 a continuation is wrapped together with the text emitted so far
 (`TracedK`), `extend` threads that prefix through sequencing, and
-`emit` feeds it one more chunk.  A plain monad-transformer continuation
-cannot express the stack operations: with a continuation of type
-``() -> m r`` there is no stack value to hand to a rewriting function,
-and anything printed would have to be chosen before the popped value is
-seen.  Wrapping the continuation in a comonad is what makes `pop`
-possible at all, which is why both variants here are built on it.  The
-text so far is the persistent chunk cons `_Output` that tiers 1 and 2
-print into as well; the runners join it once, at the end of a run, so
-emitting a chunk copies no earlier output.
+`trace` appends one more chunk.  The continuation is uncurried, as in
+Danvy's functional unparsing: `fn(out, value, failure) -> answer`
+takes the output, the value and the failure answer in one call.  A
+plain monad-transformer continuation cannot express the stack
+operations: with a continuation of type ``() -> m r`` there is no stack
+value to hand to a rewriting function, and anything printed would have
+to be chosen before the popped value is seen.  Wrapping the
+continuation in a comonad is what makes `pop` possible at all, which is
+why both variants here are built on it.  The text so far is the
+persistent chunk cons `_Output` that tiers 1 and 2 print into as well;
+the runners join it once, at the end of a run, so emitting a chunk
+copies no earlier output.
 
 The typed presentation gives the stack abstraction two signatures; in
 this dynamic port they share one machine, whose print sides all take a
@@ -33,15 +36,21 @@ wrapped continuation and a failure answer:
 Answers (the things continuations return) are realized as computations
 that consume the runtime value stack.  `consume` and `supply` convert
 between "function of the top value" and "answer", which is all the
-curried answer types of the typed presentation amount to.
+curried answer types of the typed presentation amount to.  The leaves
+that pop, the prism lead and `satisfy`, are each one answer: they pop
+in place, and on a mismatch hand the failure answer the stack unpopped.
 
 Actions are staged: `ap`, `left`, `right` and `map` wire both actions'
 sides together once, when the action is built, and leaves print and
 match directly, literals whole.  Running a grammar built from these
 builds no further actions; only `bind` makes its next action per value.
-`from_descriptor` builds them from a tier-2 descriptor, once.
+`from_descriptor` builds them from a tier-2 descriptor, once, and runs
+each prism lead with the items that supply its components as one action.
 A print run makes no reference cycles, so what it allocates is freed by
-reference counting as soon as the run returns.
+reference counting as soon as the run returns.  Until then it is all
+live down the continuation chain, and every full collection of the
+cyclic collector rescans it, so the print path allocates little: about
+23 tracked objects per printed char of a long identifier.
 """
 
 from __future__ import annotations
@@ -57,6 +66,8 @@ from .values import (
     Char, ContractViolation, List, Pair, Prism, Stack, Unit, Value,
     _NO_OUTPUT, _Output, cons_prism, nil_prism, stack_of,
 )
+
+_UNIT = Unit()
 
 # An Answer consumes a stack and produces the run's final outcome.
 Answer = Callable[[Stack], object]
@@ -76,33 +87,51 @@ def supply(answer: Answer, v: Value) -> Answer:
 
 
 class TracedK:
-    """A continuation wrapped with the output emitted so far.
+    """A value continuation wrapped with the output emitted so far.
 
     Realizes the output comonad over continuations as an explicit
-    (prefix, function of total output) pair: `extract` closes the
-    output, `extend` lets a sequenced action observe and grow it,
-    `trace` feeds one emitted chunk.  The output is an `_Output` chunk
-    cons, so `trace` copies no text; the runners join it once, at the
-    end of a run.
+    (prefix, continuation) pair.  The continuation is uncurried:
+    `fn(out, value, failure) -> answer` takes the total output, the
+    value and the failure answer at once.  `extract` closes the output,
+    `extend` lets a sequenced action observe and grow it, and `trace`
+    returns the continuation with one more chunk emitted.  The output is
+    an `_Output` chunk cons, so `trace` copies no text; the runners join
+    it once, at the end of a run.
     """
 
     __slots__ = ("fn", "prefix")
 
-    def __init__(self, fn: Callable[[_Output], object],
+    def __init__(self, fn: Callable[[_Output, Value, Answer], Answer],
                  prefix: _Output = _NO_OUTPUT):
         self.fn = fn
         self.prefix = prefix
 
     def extract(self):
-        return self.fn(self.prefix)
+        fn, prefix = self.fn, self.prefix
+        return lambda value, failure: fn(prefix, value, failure)
 
     def extend(self, h) -> "TracedK":
         fn = self.fn
-        return TracedK(lambda total: h(TracedK(fn, total)), self.prefix)
+        return TracedK(
+            lambda total, value, failure: h(TracedK(fn, total))(value, failure),
+            self.prefix)
 
-    def trace(self, chunk: str):
+    def trace(self, chunk: str) -> "TracedK":
         prefix = self.prefix
-        return self.fn(_Output(chunk, prefix, prefix.size + len(chunk)))
+        return TracedK(self.fn,
+                       _Output(chunk, prefix, prefix.size + len(chunk)))
+
+
+def _resume(wk: TracedK, value, failure: Answer) -> Answer:
+    """Continue with a value: `wk`'s continuation, at its output."""
+    return wk.fn(wk.prefix, value, failure)
+
+
+# Closures made while printing take what they use as default arguments,
+# not as closure cells.  Each one stays live down the continuation chain
+# until the run returns, and a function with defaults is two tracked
+# objects, itself and its defaults, where one that closes over n fresh
+# cells is n + 2.
 
 
 def _pop_char(v: Value) -> str:
@@ -128,12 +157,12 @@ class _Action:
 
     @classmethod
     def ret(cls, x):
-        return cls(lambda wk, fl: wk.extract()(x)(fl), lambda s, i: (x, i))
+        return cls(lambda wk, fl: _resume(wk, x, fl), lambda s, i: (x, i))
 
     def bind(self, f: Callable[[object], "_Action"]):
         def pr(wk, fl):
             return self.pr(
-                wk.extend(lambda wk2: lambda x: lambda fl2: f(x).pr(wk2, fl2)),
+                wk.extend(lambda wk2: lambda x, fl2: f(x).pr(wk2, fl2)),
                 fl)
 
         def pa(s, i):
@@ -149,9 +178,8 @@ class _Action:
         pr1, pa1 = self.pr, self.pa
 
         def pr(wk, fl):
-            fn = wk.fn
-            return pr1(TracedK(lambda out: lambda a: fn(out)(g(a)), wk.prefix),
-                       fl)
+            return pr1(TracedK(lambda out, a, fl2, fn=wk.fn, g=g:
+                               fn(out, g(a), fl2), wk.prefix), fl)
 
         def pa(s, i):
             r = pa1(s, i)
@@ -165,11 +193,13 @@ class _Action:
         pr1, pa1, pr2, pa2 = self.pr, self.pa, other.pr, other.pa
 
         def pr(wk, fl):
-            # extend, then map the result: fused, one wrapper per step
-            fn = wk.fn
-            return pr1(TracedK(lambda out: lambda a: lambda fl2: pr2(TracedK(
-                lambda out2: lambda b: fn(out2)(combine(a, b)), out), fl2),
-                wk.prefix), fl)
+            # extend, then map the result: fused, one continuation each
+            def first(out, a, fl2, fn=wk.fn, pr2=pr2, combine=combine):
+                def second(out2, b, fl3, a=a, fn=fn, combine=combine):
+                    return fn(out2, combine(a, b), fl3)
+                return pr2(TracedK(second, out), fl2)
+
+            return pr1(TracedK(first, wk.prefix), fl)
 
         def pa(s, i):
             r = pa1(s, i)
@@ -239,7 +269,8 @@ class Choice(_Action):
         def pr(wk, fl):
             # the untried branch is the failure answer of the first one;
             # built lazily so cyclic grammars stay finite
-            return pr1(wk, lambda stack: pr2(wk, fl)(stack))
+            return pr1(wk, lambda stack, pr2=pr2, wk=wk, fl=fl:
+                       pr2(wk, fl)(stack))
 
         def pa(s, i):
             r = pa1(s, i)
@@ -261,7 +292,9 @@ def _parse_nothing(s, i):
 def _shift(cls, f):
     """f(success: failure answer -> answer, failure: answer) -> answer;
     unit result, parse no-op."""
-    return cls(lambda wk, fl: f(wk.extract()(Unit()), fl), _parse_nothing)
+    return cls(lambda wk, fl:
+               f(lambda fl2, wk=wk: _resume(wk, _UNIT, fl2), fl),
+               _parse_nothing)
 
 
 def _shiftw(cls, f):
@@ -275,7 +308,7 @@ def _shiftw(cls, f):
 
 def _emit(chunk: str):
     """The print side that appends `chunk` to the output."""
-    return lambda wk, fl: wk.trace(chunk)(Unit())(fl)
+    return lambda wk, fl: _resume(wk.trace(chunk), _UNIT, fl)
 
 
 def _curried(build: Callable[[tuple], Value], arity: int):
@@ -286,15 +319,35 @@ def _curried(build: Callable[[tuple], Value], arity: int):
     return step(())
 
 
-def _unroll(prism: Prism, fl: Answer, got: tuple) -> Answer:
-    """Pop the components still missing from `got`, rebuild the value
-    and hand it to fl.  Module-level, not a closure that names itself:
-    that closure would be a reference cycle made per prism match, and
-    it would keep fl, and the continuation chain behind it, for the
-    cyclic collector to find."""
-    if len(got) == prism.arity:
-        return supply(fl, prism.review(got))
-    return consume(lambda v: _unroll(prism, fl, got + (v,)))
+def _unroll(prism: Prism, fl: Answer) -> Answer:
+    """The failure answer after a match of `prism`: pop the components
+    the match pushed, rebuild the value and hand it to fl."""
+    def answer(stack, prism=prism, fl=fl):
+        got = []
+        for _ in range(prism.arity):
+            v, stack = stack.pop()
+            got.append(v)
+        return fl(stack.push(prism.review(got)))
+    return answer
+
+
+def _lead_pr(prism: Prism, then):
+    """The print side of a prism lead.  Its answer pops the top value;
+    if `prism` matches it, the components are pushed, the first on top,
+    and the answer goes on as `then(wk, failure)`, else fl gets the
+    stack unpopped.  `then` runs only after the match: before it,
+    anything the rest emits would be emitted by a branch that fails."""
+    def pr(wk, fl):
+        def answer(stack, wk=wk, fl=fl, prism=prism, then=then):
+            v, rest = stack.pop()
+            components = prism.preview(v)
+            if components is None:
+                return fl(stack)
+            for c in reversed(components):
+                rest = rest.push(c)
+            return then(wk, _unroll(prism, fl))(rest)
+        return answer
+    return pr
 
 
 def _prism_lead(cls, prism: Prism):
@@ -304,22 +357,48 @@ def _prism_lead(cls, prism: Prism):
     failure answer to take, so as a `Linear` this is sound only for
     prisms that always match, such as an `Iso`."""
     constructor = _curried(prism.review, prism.arity)
+    return cls(_lead_pr(prism, lambda wk, fl: _resume(wk, constructor, fl)),
+               lambda s, i: (constructor, i))
 
-    def pr(wk, fl):
-        def on_top(v):
-            components = prism.preview(v)
-            if components is None:
-                return supply(fl, v)
-            # the rest runs only now: before the match, anything it
-            # emits would be emitted by a branch that fails
-            answer = wk.extract()(constructor)(_unroll(prism, fl, ()))
-            # supplied first means popped first: first component on top
-            for c in components:
-                answer = supply(answer, c)
-            return answer
-        return consume(on_top)
 
-    return cls(pr, lambda s, i: (constructor, i))
+def _lead_run(prism: Prism, items: Sequence[tuple]) -> Choice:
+    """A prism lead and the actions after it that supply its components,
+    as one action: the lead `ap`-ed with each item that yields a value
+    and `left`-ed with each that does not.  `items` pairs each action
+    with whether it yields one, and the last one does.  The result is
+    the value `review` rebuilds from the components; the print side
+    collects them in a tuple, with one continuation per item, not two
+    per `ap` and a curried constructor."""
+    steps = tuple((action.pr, action.pa, yields) for action, yields in items)
+    last = len(steps) - 1
+
+    def run(i, got, fn, out, fl):
+        # steps[i] at `out`, with `got` the components so far, then `after`
+        return steps[i][0](TracedK(
+            lambda out2, r, fl2, i=i, got=got, fn=fn, after=after:
+            after(i, got, fn, out2, r, fl2), out), fl)
+
+    def after(i, got, fn, out, r, fl):
+        # steps[i] gave r: collect it, then run the next step or rebuild
+        if steps[i][2]:
+            got += (r,)
+        if i == last:
+            return fn(out, prism.review(got), fl)
+        return run(i + 1, got, fn, out, fl)
+
+    def pa(s, i):
+        got = []
+        for _, pa1, yields in steps:
+            r = pa1(s, i)
+            if r is None:
+                return None
+            if yields:
+                got.append(r[0])
+            i = r[1]
+        return prism.review(got), i
+
+    return Choice(
+        _lead_pr(prism, lambda wk, fl: run(0, (), wk.fn, wk.prefix, fl)), pa)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +423,7 @@ def lin_pop_() -> Linear:
 
 def lin_pop() -> Linear:
     """Print side pops and returns the top value.  Print side only."""
-    return _shiftw(Linear, lambda k, fl: consume(lambda a: k(a)(fl)))
+    return _shiftw(Linear, lambda k, fl: consume(lambda a: k(a, fl)))
 
 
 def lin_curry_stack() -> Linear:
@@ -362,11 +441,12 @@ def lin_satisfy(pred: Callable[[str], bool], label: str = "satisfy") -> Linear:
     """Print pops a Char and emits it; parse consumes one passing char.
     A char the predicate rejects is a violation on both sides."""
     def pr(wk, fl):
-        def print_char(c):
+        def answer(stack, wk=wk, fl=fl, pred=pred):
+            c, rest = stack.pop()
             if not pred(_pop_char(c)):
                 raise ContractViolation(f"{c.c!r} does not satisfy {label}")
-            return wk.trace(c.c)(c)(fl)
-        return consume(print_char)
+            return _resume(wk.trace(c.c), c, fl)(rest)
+        return answer
 
     def pa(s, i):
         if i < len(s) and pred(s[i]):
@@ -432,7 +512,7 @@ def alt_pop_() -> Choice:
 def alt_pop() -> Choice:
     """Pop and return the print-side top; restored on later failure."""
     return _shiftw(Choice,
-                   lambda k, fl: consume(lambda a: k(a)(supply(fl, a))))
+                   lambda k, fl: consume(lambda a: k(a, supply(fl, a))))
 
 
 def alt_stack_guard(rewrite, unroll) -> Choice:
@@ -454,12 +534,14 @@ def alt_satisfy(pred, label: str = "satisfy") -> Choice:
     """Print pops a Char and emits it; either side fails recoverably on
     a char the predicate rejects."""
     def pr(wk, fl):
-        def print_char(c):
-            restore = supply(fl, c)
+        def answer(stack, wk=wk, fl=fl, pred=pred):
+            c, rest = stack.pop()
             if not pred(_pop_char(c)):
-                return restore
-            return wk.trace(c.c)(c)(restore)
-        return consume(print_char)
+                return fl(stack)
+            # a later failure hands fl the stack this answer was given
+            return _resume(wk.trace(c.c), c,
+                           lambda _rest, fl=fl, stack=stack: fl(stack))(rest)
+        return answer
 
     def pa(s, i):
         if i < len(s) and pred(s[i]):
@@ -515,8 +597,9 @@ def from_descriptor(d: Descriptor2) -> Choice:
 
     Leaves become `alt_lit` and `alt_satisfy`, a defer `alt_defer` and a
     choice `|`.  In a sequence a prism lead opens, a later item joins the
-    innermost open lead with `ap`, or `left` if it yields no value, and a
-    full lead is one value; a valueless prefix joins it with `right`.
+    innermost open lead, and a full lead runs with its items as one
+    action (`_lead_run`) and is one value; a valueless prefix joins it
+    with `right`, a valueless suffix with `left`.
     Parse-side choice stays committed (see `Choice`).  Refuses, with
     `ContractViolation`, a choice whose branches yield unequal numbers of
     values, a sequence that yields two, a defer that yields other than
@@ -545,28 +628,32 @@ def from_descriptor(d: Descriptor2) -> Choice:
             return defers[node], 1
         if kind is not _Seq and kind is not _PrismLead:
             raise ContractViolation(f"not a descriptor: {node!r}")
-        open_ = [[None, 1]]  # [action, values wanted]: the sequence, open leads
+        # [prism, values wanted, (action, yields) items]: the sequence,
+        # then the open leads
+        open_ = [[None, 1, []]]
         for item in node.items if kind is _Seq else (node,):
             if type(item) is _PrismLead:
-                open_.append([_prism_lead(Choice, item.prism), item.prism.arity])
+                open_.append([item.prism, item.prism.arity, []])
             else:
-                join(open_, *compile_(item))
+                join(open_[-1], *compile_(item))
             while len(open_) > 1 and not open_[-1][1]:
-                join(open_, open_.pop()[0], 1)
+                prism, _, items = open_.pop()
+                join(open_[-1], _lead_run(prism, items) if items
+                     else _prism_lead(Choice, prism), 1)
         if len(open_) > 1:
             raise ContractViolation(f"a lead lacks {open_[-1][1]} components")
-        action, wanted = open_[0]
+        _, wanted, items = open_[0]
+        action = None
+        for item, yields in items:
+            action = item if action is None else (
+                Choice.right if yields else Choice.left)(action, item)
         return action or alt_lit(""), 1 - wanted
 
-    def join(open_, action, count):
-        top = open_[-1]
-        if count > top[1]:
+    def join(frame, action, count):
+        if count > frame[1]:
             raise ContractViolation("a sequence yields two values outside a lead")
-        top[1] -= count
-        if top[0] is not None:
-            combine = Choice.ap if len(open_) > 1 else Choice.right
-            action = (combine if count else Choice.left)(top[0], action)
-        top[0] = action
+        frame[1] -= count
+        frame[2].append((action, count == 1))
 
     return compile_(d)[0]
 
@@ -574,10 +661,13 @@ def from_descriptor(d: Descriptor2) -> Choice:
 # ---------------------------------------------------------------------------
 # Runners
 #
-# Continuation chains nest one Python frame per emitted or consumed
+# Continuation chains nest a few Python frames per emitted or consumed
 # character.  Since Python 3.11 a Python-to-Python call uses no C stack,
 # so only the recursion limit binds, and runs happen in place on the
-# caller's thread with the limit raised for the length of the run.  The
+# caller's thread with the limit raised for the length of the run.  So
+# the chain must hold only plain Python functions: a call through a
+# `functools.partial` or an object with a Python `__call__` goes through
+# C, uses C stack per link, and overflows a small thread stack.  The
 # limit is global to the interpreter, so runs take turns: concurrent
 # callers would otherwise interleave their raise and restore, and could
 # leave the raised limit behind for everyone.  A run nested in a running
@@ -627,8 +717,7 @@ def sscanf(action: Linear, text: str) -> Value:
 
 def run_choice_print(action: Choice, seed: Sequence[Value]):
     """(emitted, result, leftover stack) of the print side, or None."""
-    wk0 = TracedK(
-        lambda total: lambda a: lambda fl: lambda stack: (total.text(), a, stack))
+    wk0 = TracedK(lambda total, a, fl: lambda stack: (total.text(), a, stack))
     fl0 = lambda stack: None
     return _run_deep(lambda: action.pr(wk0, fl0)(stack_of(seed)))
 

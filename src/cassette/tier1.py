@@ -25,13 +25,23 @@ from .values import (
 
 class Descriptor1:
     """A splice-able run of tier-2 leaves, without choice.  `arity` is
-    the net number of argument values the print side consumes."""
+    the net number of argument values the print side consumes.  Its
+    running need, the most values it has popped before its leads push
+    theirs, is worked out once, when it is built."""
 
-    __slots__ = ("nodes", "arity")
+    __slots__ = ("nodes", "arity", "_need")
 
     def __init__(self, nodes: tuple, arity: int):
         self.nodes = nodes
         self.arity = arity
+        popped = need = 0  # values popped net, and the most of them
+        for node in nodes:
+            if type(node) is not _Lit:
+                popped += 1
+                need = max(need, popped)
+                if type(node) is not _Satisfy:  # a lead pushes components
+                    popped -= node.prism.arity
+        self._need = need
 
     def __add__(self, other: "Descriptor1") -> "Descriptor1":
         return compose(self, other)
@@ -95,6 +105,10 @@ def sprintf(d: Descriptor1, args: Sequence[Value]) -> str:
     if len(args) != d.arity:
         raise ContractViolation(
             f"descriptor takes {d.arity} arguments, got {len(args)}")
+    if d._need > d.arity:  # a leaf would pop what no lead has pushed yet
+        raise ContractViolation(
+            f"descriptor needs {d._need} arguments while printing, "
+            f"got {len(args)}")
     out = _NO_OUTPUT
     stack = stack_of(args)
     for k, node in enumerate(d.nodes):

@@ -676,17 +676,25 @@ def test_a_deep_run_needs_no_large_thread_stack():
         from cassette import lam
 
         depth = 3000
-        text = "\\u03bby." * depth + "x"
-        term = lam.var("x")
+        chain = lam.var("x")
         for _ in range(depth):
-            term = lam.abs_("y", term)
+            chain = lam.abs_("y", chain)
+        tree = lam.var("x")
+        for _ in range(10):
+            tree = lam.app(tree, tree)
+        # an Abs chain, a long identifier (the cons and nil leads,
+        # satisfy and the retry of their choice) and an App tree
+        cases = [("\\u03bby." * depth + "x", chain),
+                 ("a" * 10000, lam.var("a" * 10000)),
+                 (lam.pretty_term(tree, "cassette"), tree)]
         ok = []
 
         def round_trip():
-            printed = lam.pretty_term(term, "stacked")
-            parsed = lam.parse_term(text, "stacked")
-            ok.append(printed == text
-                      and lam.pretty_term(parsed, "cassette") == text)
+            for text, term in cases:
+                printed = lam.pretty_term(term, "stacked")
+                parsed = lam.parse_term(text, "stacked")
+                ok.append(printed == text
+                          and lam.pretty_term(parsed, "cassette") == text)
 
         threading.stack_size(256 * 1024)
         t = threading.Thread(target=round_trip)
@@ -699,7 +707,7 @@ def test_a_deep_run_needs_no_large_thread_stack():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[True]\n"
+    assert proc.stdout == "[True, True, True]\n"
 
 
 def test_frame_exhaustion_is_a_one_line_contract_violation(
@@ -741,6 +749,33 @@ def test_failing_branches_emit_nothing(monkeypatch):
         emitted.clear()
         assert lam.pretty_term(term, "stacked") == text
         assert "".join(emitted) == text
+
+
+@pytest.mark.parametrize("text", ["a" * 2000, "λy." * 500 + "x"],
+                         ids=["identifier_2000", "abs_chain_500"])
+def test_a_print_keeps_few_tracked_objects_live_per_char(monkeypatch, text):
+    # what a print allocates stays live down the continuation chain until
+    # the run returns, and every full collection rescans it; with the
+    # collector paused, the count of tracked objects made since the
+    # print started is that live set
+    term = lam.parse_term(text, "cassette")
+    assert lam.pretty_term(term, "stacked") == text  # grammar built
+    counts = []
+    trace = st.TracedK.trace
+
+    def spy(wk, chunk):
+        counts.append(gc.get_count()[0])
+        return trace(wk, chunk)
+
+    monkeypatch.setattr(st.TracedK, "trace", spy)
+    gc.collect()
+    gc.disable()
+    try:
+        start = gc.get_count()[0]
+        assert lam.pretty_term(term, "stacked") == text
+    finally:
+        gc.enable()
+    assert (counts[-1] - start) / len(text) <= 40
 
 
 def test_stacked_runs_leave_no_cyclic_garbage():

@@ -161,9 +161,12 @@ def test_violation_diagnostics_number_the_argument_a_value_came_from():
         tier1.sprintf(d, [Char("a"), Pair(Char("b"), Char("5")), Int(4)])
 
 
-def test_a_satisfy_short_of_arguments_underflows_unnumbered():
-    # the arity check passes: the lead would push the value satisfy wants
-    with pytest.raises(ContractViolation, match=r"^stack underflow$"):
+def test_a_satisfy_before_the_lead_it_needs_is_refused_up_front():
+    # the arity check passes: the lead would push the value satisfy
+    # wants, but only after satisfy has run short of arguments
+    with pytest.raises(ContractViolation,
+                       match=r"^descriptor needs 2 arguments while printing, "
+                             r"got 0$"):
         tier1.sprintf(tier1.char() + tier1.pair_lead(), [])
 
 
