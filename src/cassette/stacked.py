@@ -40,12 +40,13 @@ curried answer types of the typed presentation amount to.  The leaves
 that pop, the prism lead and `satisfy`, are each one answer: they pop
 in place, and on a mismatch hand the failure answer the stack unpopped.
 
-Actions are staged: `ap`, `left`, `right` and `map` wire both actions'
-sides together once, when the action is built, and leaves print and
-match directly, literals whole.  Running a grammar built from these
-builds no further actions; only `bind` makes its next action per value.
-`from_descriptor` builds them from a tier-2 descriptor, once, and runs
-each prism lead with the items that supply its components as one action.
+Actions are staged: all sequencing is one n-ary run (`_sequence`) that
+wires its actions' sides together once, when it is built, and leaves
+print and match directly, literals whole.  `ap`, `left`, `right` and
+`map` are runs of one or two actions, and a prism lead with the items
+that supply its components is one run.  Running a grammar built from
+these builds no further actions; only `bind` makes its next action per
+value.  `from_descriptor` builds them from a tier-2 descriptor, once.
 A print run makes no reference cycles, so what it allocates is freed by
 reference counting as soon as the run returns.  Until then it is all
 live down the continuation chain, and every full collection of the
@@ -143,8 +144,8 @@ def _pop_char(v: Value) -> str:
 class _Action:
     """An action of either variant: `pr(wrapped_continuation,
     failure_answer) -> answer` prints, `pa(text, i) -> (result, i')`
-    parses.  `map` and `_seq(other, combine)` wire both actions' sides
-    together when the action is built.
+    parses.  `map`, `ap`, `left` and `right` are each one `_sequence`
+    run, which wires the actions' sides together when it is built.
 
     `a @ b` applies, `a << b` keeps the left result, `a >> b` the right.
     """
@@ -157,7 +158,7 @@ class _Action:
 
     @classmethod
     def ret(cls, x):
-        return cls(lambda wk, fl: _resume(wk, x, fl), lambda s, i: (x, i))
+        return _sequence(cls, (), lambda _got: x)
 
     def bind(self, f: Callable[[object], "_Action"]):
         def pr(wk, fl):
@@ -175,51 +176,17 @@ class _Action:
         return type(self)(pr, pa)
 
     def map(self, g):
-        pr1, pa1 = self.pr, self.pa
-
-        def pr(wk, fl):
-            return pr1(TracedK(lambda out, a, fl2, fn=wk.fn, g=g:
-                               fn(out, g(a), fl2), wk.prefix), fl)
-
-        def pa(s, i):
-            r = pa1(s, i)
-            return None if r is None else (g(r[0]), r[1])
-
-        return type(self)(pr, pa)
-
-    def _seq(self, other: "_Action", combine):
-        """`self` then `other`, results joined by `combine`: binding both
-        and returning `combine(a, b)`, wired once."""
-        pr1, pa1, pr2, pa2 = self.pr, self.pa, other.pr, other.pa
-
-        def pr(wk, fl):
-            # extend, then map the result: fused, one continuation each
-            def first(out, a, fl2, fn=wk.fn, pr2=pr2, combine=combine):
-                def second(out2, b, fl3, a=a, fn=fn, combine=combine):
-                    return fn(out2, combine(a, b), fl3)
-                return pr2(TracedK(second, out), fl2)
-
-            return pr1(TracedK(first, wk.prefix), fl)
-
-        def pa(s, i):
-            r = pa1(s, i)
-            if r is None:
-                return None
-            r2 = pa2(s, r[1])
-            if r2 is None:
-                return None
-            return combine(r[0], r2[0]), r2[1]
-
-        return type(self)(pr, pa)
+        return _sequence(type(self), ((self, True),), lambda got: g(got[0]))
 
     def ap(self, other):
-        return self._seq(other, lambda g, a: g(a))
+        return _sequence(type(self), ((self, True), (other, True)),
+                         lambda got: got[0](got[1]))
 
     def left(self, other):
-        return self._seq(other, lambda a, _b: a)
+        return _sequence(type(self), ((self, True), (other, False)), _only)
 
     def right(self, other):
-        return self._seq(other, lambda _a, b: b)
+        return _sequence(type(self), ((self, False), (other, True)), _only)
 
     __matmul__ = ap
     __lshift__ = left
@@ -350,55 +317,63 @@ def _lead_pr(prism: Prism, then):
     return pr
 
 
-def _prism_lead(cls, prism: Prism):
-    """Lift a prism: the print side deconstructs the top value into its
-    components (or fails over), the parse side returns the curried
-    constructor for the results that follow.  A `Linear` run has no
-    failure answer to take, so as a `Linear` this is sound only for
-    prisms that always match, such as an `Iso`."""
-    constructor = _curried(prism.review, prism.arity)
-    return cls(_lead_pr(prism, lambda wk, fl: _resume(wk, constructor, fl)),
-               lambda s, i: (constructor, i))
+def _only(got: tuple) -> Value:
+    """The one value a sequence collected, or Unit if it collected none."""
+    return got[0] if got else _UNIT
 
 
-def _lead_run(prism: Prism, items: Sequence[tuple]) -> Choice:
-    """A prism lead and the actions after it that supply its components,
-    as one action: the lead `ap`-ed with each item that yields a value
-    and `left`-ed with each that does not.  `items` pairs each action
-    with whether it yields one, and the last one does.  The result is
-    the value `review` rebuilds from the components; the print side
-    collects them in a tuple, with one continuation per item, not two
-    per `ap` and a curried constructor."""
+def _sequence(cls, items: Sequence[tuple], finish,
+              prism: Optional[Prism] = None):
+    """The actions of `items` run in order, as one action whose result
+    is `finish` of their values.  `items` pairs each action with whether
+    it yields a value; the values are collected in a tuple, in order.
+    The print side makes one continuation per item and the parse side is
+    one loop.  A run of no items is `ret` of its result, worked out once,
+    when it is built.
+
+    With a `prism` the run is that prism's lead: its print side matches
+    the top value first, through `_lead_pr`, the items supply the
+    components, and `finish` rebuilds the value from them.  A `Linear`
+    run has no failure answer to take, so as a `Linear` a lead is sound
+    only for prisms that always match, such as an `Iso`."""
     steps = tuple((action.pr, action.pa, yields) for action, yields in items)
-    last = len(steps) - 1
+    if not steps:
+        result = finish(())
 
-    def run(i, got, fn, out, fl):
-        # steps[i] at `out`, with `got` the components so far, then `after`
-        return steps[i][0](TracedK(
-            lambda out2, r, fl2, i=i, got=got, fn=fn, after=after:
-            after(i, got, fn, out2, r, fl2), out), fl)
+        def pr(wk, fl):
+            return _resume(wk, result, fl)
 
-    def after(i, got, fn, out, r, fl):
-        # steps[i] gave r: collect it, then run the next step or rebuild
-        if steps[i][2]:
-            got += (r,)
-        if i == last:
-            return fn(out, prism.review(got), fl)
-        return run(i + 1, got, fn, out, fl)
+        def pa(s, i):
+            return result, i
+    else:
+        last = len(steps) - 1
 
-    def pa(s, i):
-        got = []
-        for _, pa1, yields in steps:
-            r = pa1(s, i)
-            if r is None:
-                return None
-            if yields:
-                got.append(r[0])
-            i = r[1]
-        return prism.review(got), i
+        def run(i, got, fn, out, fl):
+            # steps[i] at `out`, with `got` the values so far, then the
+            # next step; past the last one, finish
+            if i > last:
+                return fn(out, finish(got), fl)
+            pr1, _, yields = steps[i]
 
-    return Choice(
-        _lead_pr(prism, lambda wk, fl: run(0, (), wk.fn, wk.prefix, fl)), pa)
+            def then(out2, r, fl2, i=i, got=got, fn=fn, yields=yields, run=run):
+                return run(i + 1, got + (r,) if yields else got, fn, out2, fl2)
+            return pr1(TracedK(then, out), fl)
+
+        def pr(wk, fl):
+            return run(0, (), wk.fn, wk.prefix, fl)
+
+        def pa(s, i):
+            got = ()
+            for _, pa1, yields in steps:
+                r = pa1(s, i)
+                if r is None:
+                    return None
+                if yields:
+                    got += (r[0],)
+                i = r[1]
+            return finish(got), i
+
+    return cls(pr if prism is None else _lead_pr(prism, pr), pa)
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +457,18 @@ def lin_char() -> Linear:
 
 def lin_digit() -> Linear:
     """One decimal digit as an Int."""
-    return _prism_lead(Linear, digit_iso()).ap(
-        lin_satisfy(is_ascii_digit, "digit"))
+    iso = digit_iso()
+    return _sequence(Linear, ((lin_satisfy(is_ascii_digit, "digit"), True),),
+                     iso.review, iso)
 
 
 def nth_char_format() -> Linear:
     """The demo format, with its result packaged as a three-element List."""
-    triple = lambda a: lambda b: lambda c: List((a, b, c))
-    return (Linear.ret(triple)
-            .ap(lin_digit()).left(lin_lit("-th character after "))
-            .ap(lin_char()).left(lin_lit(" is "))
-            .ap(lin_char()))
+    return _sequence(Linear, ((lin_digit(), True),
+                              (lin_lit("-th character after "), False),
+                              (lin_char(), True),
+                              (lin_lit(" is "), False),
+                              (lin_char(), True)), List)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +546,11 @@ def alt_defer(thunk: Callable[[], Choice]) -> Choice:
 
 
 def alt_prism_lead(prism: Prism) -> Choice:
-    return _prism_lead(Choice, prism)
+    """Lift a prism: the print side deconstructs the top value into its
+    components (or fails over), the parse side returns the curried
+    constructor for the results that follow."""
+    return _sequence(Choice, (),
+                     lambda _got: _curried(prism.review, prism.arity), prism)
 
 
 def alt_cons_lead() -> Choice:
@@ -584,7 +564,8 @@ def alt_many(p: Choice) -> Choice:
 
 
 def alt_some_with(p: Choice, rest: Choice) -> Choice:
-    return alt_cons_lead().ap(p).ap(rest)
+    cons = cons_prism()
+    return _sequence(Choice, ((p, True), (rest, True)), cons.review, cons)
 
 
 def alt_some(p: Choice) -> Choice:
@@ -597,9 +578,10 @@ def from_descriptor(d: Descriptor2) -> Choice:
 
     Leaves become `alt_lit` and `alt_satisfy`, a defer `alt_defer` and a
     choice `|`.  In a sequence a prism lead opens, a later item joins the
-    innermost open lead, and a full lead runs with its items as one
-    action (`_lead_run`) and is one value; a valueless prefix joins it
-    with `right`, a valueless suffix with `left`.
+    innermost open lead, and a full lead closes as one value.  Every
+    closed frame is one `_sequence` run: a lead with the items that
+    supply its components, and a sequence of several items with the one
+    value it yields, or Unit.
     Parse-side choice stays committed (see `Choice`).  Refuses, with
     `ContractViolation`, a choice whose branches yield unequal numbers of
     values, a sequence that yields two, a defer that yields other than
@@ -638,16 +620,13 @@ def from_descriptor(d: Descriptor2) -> Choice:
                 join(open_[-1], *compile_(item))
             while len(open_) > 1 and not open_[-1][1]:
                 prism, _, items = open_.pop()
-                join(open_[-1], _lead_run(prism, items) if items
-                     else _prism_lead(Choice, prism), 1)
+                join(open_[-1], _sequence(Choice, items, prism.review, prism), 1)
         if len(open_) > 1:
             raise ContractViolation(f"a lead lacks {open_[-1][1]} components")
         _, wanted, items = open_[0]
-        action = None
-        for item, yields in items:
-            action = item if action is None else (
-                Choice.right if yields else Choice.left)(action, item)
-        return action or alt_lit(""), 1 - wanted
+        if len(items) == 1:
+            return items[0][0], 1 - wanted
+        return _sequence(Choice, items, _only), 1 - wanted
 
     def join(frame, action, count):
         if count > frame[1]:

@@ -25,15 +25,15 @@ from .values import (
 
 class Descriptor1:
     """A splice-able run of tier-2 leaves, without choice.  `arity` is
-    the net number of argument values the print side consumes.  Its
-    running need, the most values it has popped before its leads push
-    theirs, is worked out once, when it is built."""
+    the net number of argument values the print side consumes: a satisfy
+    pops one, a lit none, and a lead of k components 1 - k.  It and
+    the running need, the most values popped before the leads push
+    theirs, are worked out once, when the run is built."""
 
     __slots__ = ("nodes", "arity", "_need")
 
-    def __init__(self, nodes: tuple, arity: int):
+    def __init__(self, nodes: tuple):
         self.nodes = nodes
-        self.arity = arity
         popped = need = 0  # values popped net, and the most of them
         for node in nodes:
             if type(node) is not _Lit:
@@ -41,6 +41,7 @@ class Descriptor1:
                 need = max(need, popped)
                 if type(node) is not _Satisfy:  # a lead pushes components
                     popped -= node.prism.arity
+        self.arity = popped
         self._need = need
 
     def __add__(self, other: "Descriptor1") -> "Descriptor1":
@@ -53,33 +54,32 @@ class Descriptor1:
 
 def identity() -> Descriptor1:
     """The empty splice: emits nothing, consumes nothing."""
-    return Descriptor1((), 0)
+    return Descriptor1(())
 
 
 def compose(*descriptors: Descriptor1) -> Descriptor1:
     """Splice descriptors; both sides run left to right."""
-    return Descriptor1(tuple(node for d in descriptors for node in d.nodes),
-                       sum(d.arity for d in descriptors))
+    return Descriptor1(tuple(node for d in descriptors for node in d.nodes))
 
 
 def satisfy(pred: Callable[[str], bool], label: str = "satisfy") -> Descriptor1:
     """One character passing `pred`: parse pushes it, print pops it."""
-    return Descriptor1((tier2.satisfy(pred, label),), 1)
+    return Descriptor1((tier2.satisfy(pred, label),))
 
 
 def lit(text: str) -> Descriptor1:
     """A fixed literal; touches no values."""
-    return Descriptor1((tier2.lit(text),), 0)
+    return Descriptor1((tier2.lit(text),))
 
 
 def iso_lift(iso: Iso) -> Descriptor1:
     """Map the value at the top of the stack through an isomorphism."""
-    return Descriptor1((tier2.iso_lift(iso),), 0)
+    return Descriptor1((tier2.iso_lift(iso),))
 
 
 def pair_lead() -> Descriptor1:
     """Split a Pair into its components (print) or rebuild one (parse)."""
-    return Descriptor1((tier2.pair_lead(),), -1)
+    return Descriptor1((tier2.pair_lead(),))
 
 
 def char() -> Descriptor1:

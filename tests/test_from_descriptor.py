@@ -72,6 +72,13 @@ SMALL_GRAMMARS = {
              [Pair(Char("a"), Char("b")), Pair(Char("a"), Int(1)), Unit()],
              ["ab", "abc", "a", ""]),
     "fail": (t2.fail(), [Unit(), Char("a")], ["", "a"]),
+    "bracketed_pair": (t2.lit("<") + t2.pair_lead() + t2.char() + t2.char()
+                       + t2.lit(">"),
+                       [Pair(Char("a"), Char("b")), Pair(Char("a"), Int(1)), Unit()],
+                       ["<ab>", "<ab", "ab>", "", "<ab>x"]),
+    "prefixed_char": (t2.lit("#") + t2.char() + t2.lit(";"),
+                      [Char("a"), Int(1), Unit()],
+                      ["#a;", "#a", "a;", "", "#a;x"]),
 }
 
 

@@ -211,6 +211,24 @@ def test_output_pair_law():
             assert stack.values() == tuple(junk)
 
 
+def test_the_flat_demo_format_equals_its_applicative_spelling():
+    # the demo format is one sequence run; the reference spells it with
+    # ap and left, as the paper sequences its printers
+    triple = lambda a: lambda b: lambda c: List((a, b, c))
+    reference = (st.Linear.ret(triple)
+                 .ap(st.lin_digit()).left(st.lin_lit("-th character after "))
+                 .ap(st.lin_char()).left(st.lin_lit(" is "))
+                 .ap(st.lin_char()))
+    args = [Int(5), Char("a"), Char("f")]
+    seeds = [args, [Int(12)] + args[1:], [Int(5), Int(1), Char("f")],
+             args[:2], [], [Text("5")] + args[1:], args + [Int(7), Text("junk")]]
+    line = "5-th character after a is f"
+    texts = [line, "nope", line[:-5], ""]
+    got = lin_probe(st.nth_char_format(), seeds, texts)
+    assert got == lin_probe(reference, seeds, texts)
+    assert {outcome[0] for outcome in got} == {"ok", "violation"}
+
+
 def test_parse_side_ignores_stack_operations():
     rng = random.Random(47)
     base = st.lin_satisfy(str.isalpha).bind(
