@@ -8,8 +8,10 @@ Terms are Adt-encoded: ``Var(name)``, ``Abs(binder, body)``,
 
 λ is U+03BB with no ASCII alias, and no whitespace is admitted anywhere
 except the single mandatory space separating the two halves of an
-application.  Alternatives are tried in the order Var, Abs, App, which
-matters because choice is left biased.
+application.  The three alternatives start with different chars (a
+letter, λ or an opening parenthesis), so the next char picks the one
+alternative a parse tries, on both engines, and their order does not
+matter.
 
 Identifiers live as Text inside terms but as lists of characters inside
 the grammar, which lifts one iso at the boundary.  The grammar is a
@@ -30,6 +32,7 @@ from .values import (
 )
 
 LAMBDA = "λ"
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def var(name: str) -> Value:
@@ -87,8 +90,8 @@ _IDENT = Iso("ident", _unpack, _pack)
 @functools.cache
 def term_cassette() -> t2.Descriptor2:
     """The grammar as a tier-2 descriptor.  Built once, shared freely."""
-    letter = t2.satisfy(_is_letter, "letter")
-    alnum = t2.satisfy(_is_alnum, "alphanumeric")
+    letter = t2.satisfy(_is_letter, "letter", _LETTERS)
+    alnum = t2.satisfy(_is_alnum, "alphanumeric", _LETTERS + "0123456789")
     ident = t2.iso_lift(_IDENT) >> t2.cons_lead() >> letter + t2.many(alnum)
     var_l = t2.prism_lead(adt_prism("Var", 1))
     abs_l = t2.prism_lead(adt_prism("Abs", 2))

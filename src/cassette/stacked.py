@@ -61,8 +61,8 @@ import sys
 import threading
 from typing import Callable, Optional, Sequence
 
-from .tier2 import (Descriptor2, _Alt, _Defer, _Lit, _PrismLead, _Satisfy,
-                    _Seq, digit_iso, is_ascii_digit)
+from .tier2 import (Descriptor2, _Alt, _analyse, _Defer, _Lit, _PrismLead,
+                    _Satisfy, _Seq, digit_iso, is_ascii_digit)
 from .values import (
     Char, ContractViolation, List, Pair, Prism, Stack, Unit, Value,
     _NO_OUTPUT, _Output, cons_prism, nil_prism, stack_of,
@@ -582,11 +582,14 @@ def from_descriptor(d: Descriptor2) -> Choice:
     closed frame is one `_sequence` run: a lead with the items that
     supply its components, and a sequence of several items with the one
     value it yields, or Unit.
-    Parse-side choice stays committed (see `Choice`).  Refuses, with
+    Parse-side choice stays committed (see `Choice`) and tries only the
+    branches that the tier-2 guard admits at the next char, in order; a
+    left-recursive grammar raises when parsed.  Refuses, with
     `ContractViolation`, a choice whose branches yield unequal numbers of
     values, a sequence that yields two, a defer that yields other than
     one, and a lead short of components.
     """
+    refuse = _refusal(d)
     defers = {}
 
     def compile_(node):  # (action, the number of values it yields)
@@ -600,7 +603,9 @@ def from_descriptor(d: Descriptor2) -> Choice:
             actions, counts = zip(*compiled)
             if len(set(counts)) > 1:
                 raise ContractViolation(f"choice branches yield {counts} values")
-            return functools.reduce(Choice.alt, actions), counts[0]
+            folded = functools.reduce(Choice.alt, actions)
+            return Choice(folded.pr, folded.pa if refuse else
+                          _dispatch(node, actions)), counts[0]
         if kind is _Defer:
             if node not in defers:
                 defers[node] = alt_defer(lambda: body)
@@ -634,7 +639,36 @@ def from_descriptor(d: Descriptor2) -> Choice:
         frame[1] -= count
         frame[2].append((action, count == 1))
 
-    return compile_(d)[0]
+    action = compile_(d)[0]
+    return Choice(action.pr, refuse) if refuse else action
+
+
+def _refusal(d: Descriptor2):
+    """None, or for a left-recursive grammar, which still prints, a parse
+    side that walks it again, which raises."""
+    try:
+        _analyse(d)
+    except ContractViolation:
+        return lambda s, i: _analyse(d)
+    return None
+
+
+def _dispatch(node: _Alt, actions: Sequence[Choice]):
+    """The parse side of a compiled choice: at the next char, the `|` of
+    the branches that the tier-2 guard admits there."""
+    action_of = dict(zip(node.branches, actions))
+    table, pas = {}, {}  # pas: entry -> the parse side of its branches
+    for c, entry in (*node.table.items(), ("", node.other)):
+        if entry not in pas:
+            tries = (list(map(action_of.get, (entry[0],) + entry[1][::-1]))
+                     if entry else [Choice.fail()])
+            pas[entry] = functools.reduce(Choice.alt, tries).pa
+        table[c] = pas[entry]
+    other = table.pop("")
+
+    def pa(s, i):
+        return table.get(s[i] if i < len(s) else "", other)(s, i)
+    return pa
 
 
 # ---------------------------------------------------------------------------

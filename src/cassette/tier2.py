@@ -17,6 +17,11 @@ are persistent: the cursor is the input position when parsing and the
 Choice is unlimited backtracking; a failure after a choice succeeded
 still rewinds into the untried branch.
 
+A parse pushes no choice point that can only fail: one analysis per
+grammar works out each node's first chars and whether it can succeed
+without consuming, and each choice tries, at the next char, only the
+branches that can succeed there.  It also refuses left recursion.
+
 Failure is recoverable and silent; stack type errors are descriptor
 misuse and raise `ContractViolation` through any amount of choice.
 """
@@ -39,7 +44,9 @@ class Descriptor2:
     `a >> b` is a synonym for `a + b`, read "lead into".
     """
 
-    __slots__ = ()
+    # (first chars, None for any; may succeed without consuming), set
+    # when a leaf is built or by the grammar analysis
+    __slots__ = ("info",)
 
     def __add__(self, other: "Descriptor2") -> "Descriptor2":
         return compose(self, other)
@@ -50,19 +57,29 @@ class Descriptor2:
         return choice(self, other)
 
 
+def _entry(branches: tuple) -> Optional[tuple]:
+    # the first branch and the rest reversed, which pop in order
+    return (branches[0], branches[:0:-1]) if branches else None
+
+
 class _Seq(Descriptor2):
     __slots__ = ("items",)
 
     def __init__(self, items: tuple):
         self.items = items
+        self.info = None
 
 
 class _Alt(Descriptor2):
-    __slots__ = ("branches", "untried")
+    # `entry` tries every branch.  The analysis sets `table`, from the
+    # next char to the entry of the branches worth parsing there, and
+    # `other`, the entry at any other char and at the end of input.
+    __slots__ = ("branches", "entry", "table", "other")
 
     def __init__(self, branches: tuple):
         self.branches = branches
-        self.untried = branches[:0:-1]  # the rest reversed: they pop in order
+        self.entry = _entry(branches)
+        self.info = self.table = self.other = None
 
 
 # Leaves.  Each has a parse step and a print step of one shape,
@@ -74,9 +91,11 @@ class _Alt(Descriptor2):
 class _Satisfy(Descriptor2):
     __slots__ = ("pred", "label")
 
-    def __init__(self, pred: Callable[[str], bool], label: str):
+    def __init__(self, pred: Callable[[str], bool], label: str,
+                 chars: Optional[str] = None):
         self.pred = pred
         self.label = label
+        self.info = (None if chars is None else frozenset(chars), False)
 
     def parse_step(self, text, pos, stack):
         if pos < len(text) and self.pred(text[pos]):
@@ -97,6 +116,7 @@ class _Lit(Descriptor2):
 
     def __init__(self, text: str):
         self.text = text
+        self.info = (frozenset(text[:1]), not text)
 
     def parse_step(self, text, pos, stack):
         if not text.startswith(self.text, pos):
@@ -112,6 +132,7 @@ class _PrismLead(Descriptor2):
 
     def __init__(self, prism: Prism):
         self.prism = prism
+        self.info = (frozenset(), True)
 
     def parse_step(self, text, pos, stack):
         p = self.prism
@@ -133,6 +154,7 @@ class _Defer(Descriptor2):
     def __init__(self, thunk: Callable[[], Descriptor2]):
         # construction is pure, so a racing first use is harmless
         self.force = functools.cache(thunk)
+        self.info = None
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +194,12 @@ def optional(p: Descriptor2) -> Descriptor2:
     return p | identity()
 
 
-def satisfy(pred: Callable[[str], bool], label: str = "satisfy") -> Descriptor2:
-    return _Satisfy(pred, label)
+def satisfy(pred: Callable[[str], bool], label: str = "satisfy",
+            chars: Optional[str] = None) -> Descriptor2:
+    """One char that `pred` accepts.  `chars`, if given, must hold every
+    char `pred` accepts: parsing then skips a branch opening with this
+    satisfy at any other char.  Without it no char is ruled out."""
+    return _Satisfy(pred, label, chars)
 
 
 def char() -> Descriptor2:
@@ -201,7 +227,8 @@ def digit_iso() -> Iso:
 
 
 def digit() -> Descriptor2:
-    return iso_lift(digit_iso()) + satisfy(is_ascii_digit, "digit")
+    return iso_lift(digit_iso()) + satisfy(is_ascii_digit, "digit",
+                                           "0123456789")
 
 
 def lit(text: str) -> Descriptor2:
@@ -262,9 +289,9 @@ def defer(thunk: Callable[[], Descriptor2]) -> Descriptor2:
 def many(p: Descriptor2) -> Descriptor2:
     """Zero or more p, collected into a List.  Greedy, backtrackable.
 
-    p must consume input when it succeeds, or parsing will not
-    terminate; recursion must stay behind at least one consuming
-    descriptor (no left recursion).
+    p must consume input when it succeeds: recursion must stay behind
+    at least one consuming descriptor, and parsing refuses left
+    recursion.
     """
     d = defer(lambda: (cons_lead() + p + d) | nil_lead())
     return d
@@ -291,7 +318,80 @@ def int_text_iso() -> Iso:
 
 def integer() -> Descriptor2:
     """A maximal non-empty digit run as a non-negative Int."""
-    return iso_lift(int_text_iso()) + some(satisfy(is_ascii_digit, "digit"))
+    return iso_lift(int_text_iso()) + some(satisfy(is_ascii_digit, "digit",
+                                                   "0123456789"))
+
+
+# ---------------------------------------------------------------------------
+# The grammar analysis
+#
+# A node's `info` follows from its heads, the parts that start where it
+# starts: one depth-first walk over heads works it out, and a node met
+# again on its own path is left recursion.  A node with its `info` was
+# analysed with all it reaches, so a later walk stops there.
+
+_ANY = (None, True)  # what is known of a node that is no descriptor
+
+
+def _guard(branches: tuple, infos: list) -> tuple:
+    """A choice's (table, other): a branch that must consume and has
+    known first chars is tried at those chars only."""
+    table, other = {}, ()  # char -> the branches tried there, in order
+    for branch, (first, nullable) in zip(branches, infos):
+        if first is None or nullable:
+            other += (branch,)
+            for c in table:
+                table[c] += (branch,)
+        else:
+            for c in first:
+                table[c] = table.get(c, other) + (branch,)
+    for c in table:
+        table[c] = _entry(table[c])
+    return table, _entry(other)
+
+
+def _visit(node, found: dict, todo: list) -> tuple:
+    """The `info` of `node`.  `found` holds the walk's results, and None
+    for the nodes on the current path; `todo` gets the parts that start
+    later."""
+    info = getattr(node, "info", _ANY) or found.get(node, False)
+    if info:
+        return info
+    if info is None:
+        raise ContractViolation(
+            "left recursion: a defer reaches itself without consuming input")
+    found[node] = None
+    kind = type(node)
+    parts = (node.items if kind is _Seq else node.branches if kind is _Alt
+             else (node.force(),))
+    got, first, nullable = [], frozenset(), kind is _Seq
+    for part in parts:
+        got.append(_visit(part, found, todo))
+        f, n = got[-1]
+        first = None if first is None or f is None else first | f
+        if kind is not _Seq:
+            nullable = nullable or n
+        elif not n:
+            nullable = False
+            todo.extend(parts[len(got):])
+            break
+    if kind is _Alt:
+        node.table, node.other = _guard(parts, got)
+    found[node] = first, nullable
+    return found[node]
+
+
+def _analyse(root) -> None:
+    """Give every node under `root` its `info` and every choice its guard,
+    unless done.  Left recursion raises `ContractViolation` and sets no
+    `info`, so every later walk refuses it again."""
+    if getattr(root, "info", _ANY) is not None:
+        return
+    found, todo = {}, [root]
+    while todo:
+        _visit(todo.pop(), found, todo)
+    for node, info in found.items():
+        node.info = info
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +424,12 @@ def _run(d: Descriptor2, steps: dict, text, cursor, stack) -> Optional[tuple]:
                 work = (item, work)
             continue
         elif kind is _Alt:
-            if node.branches:  # no branches is failure
-                for branch in node.untried:
+            entry = node.entry if text is None else node.table.get(
+                text[cursor] if cursor < len(text) else "", node.other)
+            if entry is not None:  # no branch to try is failure
+                for branch in entry[1]:
                     alts.append(((branch, work), cursor, stack))
-                work = (node.branches[0], work)
+                work = (entry[0], work)
                 continue
         elif kind is _Defer:
             work = (node.force(), work)
@@ -343,6 +445,7 @@ def _run(d: Descriptor2, steps: dict, text, cursor, stack) -> Optional[tuple]:
 def run_parse(d: Descriptor2, text: str,
               seed: Sequence[Value] = ()) -> Optional[tuple]:
     """Parse a prefix of `text`; (end position, final stack) or None."""
+    _analyse(d)
     return _run(d, _PARSE_STEPS, text, 0, stack_of(seed))
 
 

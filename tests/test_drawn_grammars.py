@@ -12,26 +12,33 @@ backtracking choice coincide: there every literal and satisfy has chars
 of its own, every `Adt` lead is followed by an opening and ends with a
 closing literal, `many` and choice range over leads and satisfies, and
 the root is reached only from inside a lead.
+
+On every grammar, each engine parses alike whether or not the satisfies
+declare their chars, so the choice guard changes no parse, and tier-2
+membership agrees with the derivation oracle `cfg_oracle`.
 """
 
 import functools
 import itertools
 import operator
 
+import pytest
 from hypothesis import given, settings, strategies as hs
 
 from cassette import stacked as st, tier2 as t2
-from cassette.values import Adt, Char, List, adt_prism
+from cassette.values import Adt, Char, ContractViolation, List, adt_prism
 
+import cfg_oracle as cfg
 from test_from_descriptor import outcome
 
 
-def draw_grammar(draw, ll1, depth=3):
+def draw_grammar(draw, ll1, depth=3, declare=True):
     """(descriptor, value_of(depth) -> Value, chars its terminals use).
 
     `value_of` draws a value shaped by the grammar, recursing through
     the root reference at most `depth` times; past that it draws a Char,
-    which the reference may fail to print.
+    which the reference may fail to print.  With `declare` each satisfy
+    declares its chars.
     """
     fresh = (chr(c) for c in itertools.count(ord("A")))
     tags = itertools.count()
@@ -45,7 +52,7 @@ def draw_grammar(draw, ll1, depth=3):
     def satisfy():
         chars = terminal(["a", "b", "ab", "bc"]) + (next(fresh) if ll1 else "")
         used.update(chars)
-        return (t2.satisfy(chars.__contains__, "set"),
+        return (t2.satisfy(chars.__contains__, "set", chars if declare else None),
                 lambda d: Char(draw(hs.sampled_from(chars + ("" if ll1 else "ab")))))
 
     def lead(depth):
@@ -122,3 +129,60 @@ def test_compiled_parse_equals_tier_2_parse_on_ll1_grammars(data):
         texts += [text[:cut], text[:cut] + junk + text[cut:], text + junk]
     for text in texts:
         assert st.parse(compiled, text) == t2.parse(grammar, text), text
+
+
+def oracle_of(d, refs=None):
+    """The `cfg_oracle` grammar of a tier-2 descriptor."""
+    refs = {} if refs is None else refs
+    kind = type(d)
+    if kind is t2._Lit:
+        return cfg.Lit(d.text)
+    if kind is t2._Satisfy:
+        return cfg.Sat(d.pred)
+    if kind is t2._PrismLead:
+        return cfg.Lit("")
+    if kind is t2._Seq:
+        return cfg.Cat(*(oracle_of(item, refs) for item in d.items))
+    if kind is t2._Alt:
+        return cfg.Or(*(oracle_of(branch, refs) for branch in d.branches))
+    if d not in refs:
+        refs[d] = cfg.Ref(lambda: oracle_of(d.force(), refs))
+    return refs[d]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(hs.data())
+def test_the_guard_changes_no_parse_and_tier_2_parses_the_oracle_language(data):
+    ll1 = data.draw(hs.booleans())
+    draws = []
+
+    def recording(strategy):
+        draws.append(data.draw(strategy))
+        return draws[-1]
+    grammar, value_of, used = draw_grammar(recording, ll1)
+    replay = iter(list(draws))
+    bare, _, _ = draw_grammar(lambda _strategy: next(replay), ll1, declare=False)
+    compiled, compiled_bare = st.from_descriptor(grammar), st.from_descriptor(bare)
+    oracle = oracle_of(grammar)
+    alphabet = sorted(used | {"a", "b", "c"})
+    texts = [data.draw(hs.text(alphabet, max_size=8)) for _ in range(3)]
+    for _ in range(2):
+        text = outcome(t2.pretty, grammar, value_of(3))
+        if isinstance(text, str):
+            texts += [text, text[:-1], text + data.draw(hs.sampled_from(alphabet))]
+    for text in texts:
+        try:
+            member = cfg.derives_prefix(oracle, text)
+        except cfg.LeftRecursion:
+            # refused by the analysis alone, before any parse could loop
+            with pytest.raises(ContractViolation, match="left recursion"):
+                t2._analyse(grammar)
+            continue
+        parsed = outcome(t2.run_parse, grammar, text)
+        assert parsed == outcome(t2.run_parse, bare, text), text
+        assert outcome(st.parse, compiled, text) == outcome(st.parse, compiled_bare, text)
+        if parsed is ContractViolation:  # left recursion the oracle did not reach
+            with pytest.raises(ContractViolation, match="left recursion"):
+                t2._analyse(grammar)
+        else:
+            assert (parsed is not None) == member, text

@@ -1,16 +1,21 @@
 import gc
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
-from cassette import lam, tier2
+from cassette import lam, stacked, tier2
 from cassette.values import (
     Adt, Bool, Char, ContractViolation, Int, List, Pair, Text, Unit,
     adt_prism, const_prism,
 )
 
 import cfg_oracle as cfg
+import lam_corpus
 
 
 def outcome_parse(d, text, seed=()):
@@ -401,6 +406,167 @@ def test_parse_success_matches_the_derivation_enumerator():
             engine_says = tier2.run_parse(d, text) is not None
             oracle_says = cfg.derives_prefix(oracle, text)
             assert engine_says == oracle_says, (text, engine_says, oracle_says)
+
+
+# ---------------------------------------------------------------------------
+# The choice guard: each choice tries, at the next char, only the
+# branches that can succeed there
+
+
+def reachable(d):
+    """Every node of the grammar under d."""
+    seen, todo = {}, [d]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(getattr(node, "items", ()) or getattr(node, "branches", ()))
+            if type(node) is tier2._Defer:
+                todo.append(node.force())
+    return list(seen.values())
+
+
+def unguarded(d):
+    """d analysed, with every choice made to try all its branches again."""
+    tier2._analyse(d)
+    for node in reachable(d):
+        if type(node) is tier2._Alt:
+            node.table, node.other = {}, node.entry
+    return d
+
+
+def tried(alt, c):
+    """The branches of `alt` that a parse tries at char c ("" at the end
+    of input), in order."""
+    tier2._analyse(alt)
+    entry = alt.table.get(c, alt.other)
+    return () if entry is None else (entry[0],) + entry[1][::-1]
+
+
+def test_shipped_char_sets_hold_exactly_what_their_predicates_accept():
+    every = [chr(c) for c in range(sys.maxunicode + 1)]
+    declared = {(node.pred, node.info[0])
+                for d in (tier2.digit(), tier2.integer(), lam.term_cassette())
+                for node in reachable(d)
+                if type(node) is tier2._Satisfy and node.info[0] is not None}
+    assert len(declared) == 3  # digit, letter, alphanumeric
+    for pred, chars in declared:
+        assert set(filter(pred, every)) == chars
+    assert tier2.char().info[0] is None
+
+
+GUARD_EDGES = {
+    "nullable branch": lambda: tier2.lit("a") | tier2.identity(),
+    "undeclared satisfy": lambda: (tier2.satisfy(str.isalpha, "alpha")
+                                   | tier2.lit("1")),
+    "end of input": lambda: tier2.many(tier2.lit_unit("a")) + tier2.lit("b"),
+    "fail": lambda: (tier2.fail() | tier2.lit("a") + tier2.fail()
+                     | tier2.lit("ab")),
+    "prism lead": lambda: (
+        tier2.prism_lead(adt_prism("A", 1))
+        + tier2.satisfy("ab".__contains__, "ab", "ab")
+        | tier2.prism_lead(adt_prism("B", 1)) + tier2.lit_unit("c")
+        | tier2.nil_lead()),
+    "empty lit": lambda: (tier2.lit("") + tier2.lit("b") | tier2.lit("a")
+                          | tier2.lit("")),
+    "optional first": lambda: (tier2.optional(tier2.lit("a")) + tier2.lit("b")
+                               | tier2.lit("a") + tier2.lit("c")),
+}
+
+
+@pytest.mark.parametrize("name", GUARD_EDGES)
+def test_the_guard_changes_no_parse(name):
+    make = GUARD_EDGES[name]
+    d, everything = make(), unguarded(make())
+    for n in range(5):
+        for text in map("".join, itertools.product("abc1", repeat=n)):
+            assert outcome_parse(d, text) == outcome_parse(everything, text), text
+
+
+def test_the_guard_skips_only_branches_that_must_consume_another_char():
+    a, b, empty = tier2.lit("a"), tier2.lit("b"), tier2.identity()
+    assert tried(a | empty, "a") == (a, empty)
+    assert tried(a | empty, "b") == tried(a | empty, "") == (empty,)
+    alpha = tier2.satisfy(str.isalpha, "alpha")  # no chars: never skipped
+    assert tried(alpha | a, "a") == (alpha, a)
+    assert tried(alpha | a, "1") == tried(alpha | a, "") == (alpha,)
+    assert tried(a | b, "b") == (b,) and tried(a | b, "") == ()
+    assert tried(tier2.fail(), "a") == ()
+    lead = tier2.prism_lead(adt_prism("A", 1))
+    led, bare = lead + tier2.satisfy("xy".__contains__, "xy", "xy"), lead
+    assert tried(led | a, "y") == (led,) and tried(led | a, "a") == (a,)
+    assert tried(bare | a, "z") == (bare,)  # a lead alone consumes nothing
+    blank = tier2.lit("") + b
+    assert tried(blank | a, "b") == (blank,) and tried(blank | a, "a") == (a,)
+    maybe = tier2.optional(a) + b
+    assert tried(maybe | a, "a") == (maybe, a) and tried(maybe | a, "b") == (maybe,)
+
+
+def test_the_lambda_corpus_parses_without_a_failing_consuming_step(monkeypatch):
+    texts = [lam.pretty_term(t) for t in lam_corpus.generated_terms(500, seed=2024)]
+    steps = {"all": 0, "failed": 0}
+
+    def counted(step):
+        def counted_step(node, text, pos, stack):
+            moved = step(node, text, pos, stack)
+            steps["all"] += 1
+            steps["failed"] += moved is None
+            return moved
+        return counted_step
+    consuming = (tier2._Satisfy, tier2._Lit)
+    monkeypatch.setattr(tier2, "_PARSE_STEPS", {
+        kind: counted(step) if kind in consuming else step
+        for kind, step in tier2._PARSE_STEPS.items()})
+    for text in texts:
+        assert lam.parse_term(text, "cassette") is not None
+    # trying every branch took 1.49 consuming steps per char, 0.49 failing
+    assert steps["failed"] == 0
+    assert steps["all"] <= sum(map(len, texts))
+
+
+LEFT_RECURSIVE = """
+from cassette import stacked as st, tier2 as t2
+from cassette.values import ContractViolation, adt_prism
+
+steps = []
+t2._PARSE_STEPS = {kind: lambda *args, step=step: steps.append(args) or step(*args)
+                   for kind, step in t2._PARSE_STEPS.items()}
+a = t2.defer(lambda: t2.prism_lead(adt_prism("A", 1)) + a + t2.lit("a")
+             | t2.satisfy(str.isalpha, "letter"))
+for d in (t2.many(t2.lit_unit("")), a):
+    for parse in (t2.run_parse, lambda d, text: st.parse(st.from_descriptor(d), text)):
+        try:
+            print("parsed", parse(d, "c"))
+        except ContractViolation as e:
+            print(e, len(steps))
+"""
+
+
+def test_left_recursion_is_refused_before_any_step_on_both_engines():
+    # in a child bounded in memory and time: a machine that does not
+    # refuse left recursion grows its choice stack without end
+    src = pathlib.Path(tier2.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+    def bounded():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    proc = subprocess.run([sys.executable, "-c", LEFT_RECURSIVE], env=env,
+                          preexec_fn=bounded, capture_output=True, text=True,
+                          timeout=60)
+    refusal = "left recursion: a defer reaches itself without consuming input 0"
+    assert proc.stdout.splitlines() == [refusal] * 4, proc.stderr
+
+
+def test_left_recursive_grammars_still_print():
+    a = tier2.defer(lambda: tier2.prism_lead(adt_prism("A", 1)) + a + tier2.lit("a")
+                    | tier2.satisfy(str.isalpha, "letter"))
+    v = Adt("A", (Adt("A", (Char("c"),)),))
+    assert tier2.pretty(a, v) == stacked.pretty(stacked.from_descriptor(a), v) == "caa"
+    units = tier2.many(tier2.lit_unit(""))
+    assert tier2.pretty(units, List((Unit(),) * 3)) == ""
+    assert stacked.pretty(stacked.from_descriptor(units), List((Unit(),) * 3)) == ""
 
 
 # ---------------------------------------------------------------------------
