@@ -51,7 +51,7 @@ A print run makes no reference cycles, so what it allocates is freed by
 reference counting as soon as the run returns.  Until then it is all
 live down the continuation chain, and every full collection of the
 cyclic collector rescans it, so the print path allocates little: about
-23 tracked objects per printed char of a long identifier.
+17 tracked objects per printed char of a long identifier.
 """
 
 from __future__ import annotations
@@ -61,17 +61,22 @@ import sys
 import threading
 from typing import Callable, Optional, Sequence
 
-from .tier2 import (Descriptor2, _Alt, _analyse, _Defer, _Lit, _PrismLead,
-                    _Satisfy, _Seq, digit_iso, is_ascii_digit)
+from .tier2 import (Descriptor2, _Alt, _analyse, _Defer, _keyed, _Lit,
+                    _PrismLead, _Satisfy, _Seq, digit_iso, is_ascii_digit)
 from .values import (
     Char, ContractViolation, List, Pair, Prism, Stack, Unit, Value,
-    _NO_OUTPUT, _Output, cons_prism, nil_prism, stack_of,
+    _NO_OUTPUT, _Output, cons_prism, key_of, nil_prism, stack_of,
 )
 
 _UNIT = Unit()
 
 # An Answer consumes a stack and produces the run's final outcome.
 Answer = Callable[[Stack], object]
+
+
+def _no_print(stack: Stack) -> None:
+    """A print run's first failure answer.  Nothing is left to retry
+    after it, so the leaves that restore the stack pass it on as is."""
 
 
 def consume(f: Callable[[Value], Answer]) -> Answer:
@@ -145,16 +150,18 @@ class _Action:
     """An action of either variant: `pr(wrapped_continuation,
     failure_answer) -> answer` prints, `pa(text, i) -> (result, i')`
     parses.  `map`, `ap`, `left` and `right` are each one `_sequence`
-    run, which wires the actions' sides together when it is built.
+    run, which wires the actions' sides together when it is built.  A
+    prism lead's run keeps `lead`, the `(prism, then)` its print matches.
 
     `a @ b` applies, `a << b` keeps the left result, `a >> b` the right.
     """
 
-    __slots__ = ("pr", "pa")
+    __slots__ = ("pr", "pa", "lead")
 
-    def __init__(self, pr, pa):
+    def __init__(self, pr, pa, lead=None):
         self.pr = pr
         self.pa = pa
+        self.lead = lead
 
     @classmethod
     def ret(cls, x):
@@ -298,21 +305,27 @@ def _unroll(prism: Prism, fl: Answer) -> Answer:
     return answer
 
 
-def _lead_pr(prism: Prism, then):
-    """The print side of a prism lead.  Its answer pops the top value;
-    if `prism` matches it, the components are pushed, the first on top,
-    and the answer goes on as `then(wk, failure)`, else fl gets the
-    stack unpopped.  `then` runs only after the match: before it,
+def _by_key(table: dict, other):
+    """The print side whose answer runs what `table` holds at the top
+    value's key, and `other` at any other key: a print side, or the
+    `(prism, then)` of a prism lead.  A lead's answer pops the top
+    value; if `prism` matches it, the components are pushed, the first
+    on top, and the answer goes on as `then(wk, failure)`, else fl gets
+    the stack unpopped.  `then` runs only after the match: before it,
     anything the rest emits would be emitted by a branch that fails."""
     def pr(wk, fl):
-        def answer(stack, wk=wk, fl=fl, prism=prism, then=then):
+        def answer(stack, wk=wk, fl=fl, table=table, other=other):
+            got = table.get(key_of(stack.entry), other) if table else other
+            if type(got) is not tuple:
+                return got(wk, fl)(stack)
+            prism, then = got
             v, rest = stack.pop()
             components = prism.preview(v)
             if components is None:
                 return fl(stack)
             for c in reversed(components):
                 rest = rest.push(c)
-            return then(wk, _unroll(prism, fl))(rest)
+            return then(wk, fl if fl is _no_print else _unroll(prism, fl))(rest)
         return answer
     return pr
 
@@ -332,7 +345,7 @@ def _sequence(cls, items: Sequence[tuple], finish,
     when it is built.
 
     With a `prism` the run is that prism's lead: its print side matches
-    the top value first, through `_lead_pr`, the items supply the
+    the top value first, through `_by_key`, the items supply the
     components, and `finish` rebuilds the value from them.  A `Linear`
     run has no failure answer to take, so as a `Linear` a lead is sound
     only for prisms that always match, such as an `Iso`."""
@@ -373,7 +386,9 @@ def _sequence(cls, items: Sequence[tuple], finish,
                 i = r[1]
             return finish(got), i
 
-    return cls(pr if prism is None else _lead_pr(prism, pr), pa)
+    if prism is None:
+        return cls(pr, pa)
+    return cls(_by_key({}, (prism, pr)), pa, (prism, pr))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +530,7 @@ def alt_satisfy(pred, label: str = "satisfy") -> Choice:
             if not pred(_pop_char(c)):
                 return fl(stack)
             # a later failure hands fl the stack this answer was given
-            return _resume(wk.trace(c.c), c,
+            return _resume(wk.trace(c.c), c, fl if fl is _no_print else
                            lambda _rest, fl=fl, stack=stack: fl(stack))(rest)
         return answer
 
@@ -582,6 +597,8 @@ def from_descriptor(d: Descriptor2) -> Choice:
     closed frame is one `_sequence` run: a lead with the items that
     supply its components, and a sequence of several items with the one
     value it yields, or Unit.
+    Print-side choice tries only the branches that the tier-2 print
+    table admits at the top value's key, in order (see `_choose`).
     Parse-side choice stays committed (see `Choice`) and tries only the
     branches that the tier-2 guard admits at the next char, in order; a
     left-recursive grammar raises when parsed.  Refuses, with
@@ -603,9 +620,7 @@ def from_descriptor(d: Descriptor2) -> Choice:
             actions, counts = zip(*compiled)
             if len(set(counts)) > 1:
                 raise ContractViolation(f"choice branches yield {counts} values")
-            folded = functools.reduce(Choice.alt, actions)
-            return Choice(folded.pr, folded.pa if refuse else
-                          _dispatch(node, actions)), counts[0]
+            return _choose(node, actions, refuse), counts[0]
         if kind is _Defer:
             if node not in defers:
                 defers[node] = alt_defer(lambda: body)
@@ -653,22 +668,32 @@ def _refusal(d: Descriptor2):
     return None
 
 
-def _dispatch(node: _Alt, actions: Sequence[Choice]):
-    """The parse side of a compiled choice: at the next char, the `|` of
-    the branches that the tier-2 guard admits there."""
+def _choose(node: _Alt, actions: Sequence[Choice], refuse) -> Choice:
+    """A compiled choice.  Its print side tries, at the top value's key,
+    the branches that the tier-2 print table admits there, and matches a
+    lone admitted lead in place, with no retry: no other branch could
+    print the value.  Its parse side, unless `refuse` stands in for it,
+    tries the branches that the tier-2 guard admits at the next char."""
     action_of = dict(zip(node.branches, actions))
-    table, pas = {}, {}  # pas: entry -> the parse side of its branches
-    for c, entry in (*node.table.items(), ("", node.other)):
-        if entry not in pas:
-            tries = (list(map(action_of.get, (entry[0],) + entry[1][::-1]))
-                     if entry else [Choice.fail()])
-            pas[entry] = functools.reduce(Choice.alt, tries).pa
-        table[c] = pas[entry]
-    other = table.pop("")
+
+    @functools.cache
+    def tries(entry) -> Choice:  # the `|` of an entry's branches, in order
+        if entry is None:
+            return Choice.fail()
+        branches = (entry[0],) + entry[1][::-1]
+        return functools.reduce(Choice.alt, map(action_of.get, branches))
+
+    table, other = node.keyed or _keyed(node)
+    pr = _by_key({key: tries(e).lead or tries(e).pr for key, e in table.items()},
+                 tries(other).lead or tries(other).pr)
+    if refuse:
+        return Choice(pr, refuse)
+    pas = {c: tries(e).pa for c, e in node.table.items()}
+    other_pa = tries(node.other).pa
 
     def pa(s, i):
-        return table.get(s[i] if i < len(s) else "", other)(s, i)
-    return pa
+        return pas.get(s[i] if i < len(s) else "", other_pa)(s, i)
+    return Choice(pr, pa)
 
 
 # ---------------------------------------------------------------------------
@@ -731,8 +756,7 @@ def sscanf(action: Linear, text: str) -> Value:
 def run_choice_print(action: Choice, seed: Sequence[Value]):
     """(emitted, result, leftover stack) of the print side, or None."""
     wk0 = TracedK(lambda total, a, fl: lambda stack: (total.text(), a, stack))
-    fl0 = lambda stack: None
-    return _run_deep(lambda: action.pr(wk0, fl0)(stack_of(seed)))
+    return _run_deep(lambda: action.pr(wk0, _no_print)(stack_of(seed)))
 
 
 def pretty(action: Choice, v: Value) -> Optional[str]:

@@ -20,7 +20,11 @@ still rewinds into the untried branch.
 A parse pushes no choice point that can only fail: one analysis per
 grammar works out each node's first chars and whether it can succeed
 without consuming, and each choice tries, at the next char, only the
-branches that can succeed there.  It also refuses left recursion.
+branches that can succeed there.  It also refuses left recursion.  A
+print mirrors it: each choice tries only the branches whose first leaf
+to touch the stack may take the top value, by the value's key (see
+`Prism`), and at a key that no branch admits, every branch, so misuse
+still raises.
 
 Failure is recoverable and silent; stack type errors are descriptor
 misuse and raise `ContractViolation` through any amount of choice.
@@ -33,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 from .values import (
     Char, ContractViolation, Int, Iso, List, Pair, Prism, Unit, Value,
-    _NO_OUTPUT, _Output, cons_prism, nil_prism, stack_of,
+    _NO_OUTPUT, _Output, cons_prism, key_of, nil_prism, stack_of,
 )
 
 
@@ -74,12 +78,14 @@ class _Alt(Descriptor2):
     # `entry` tries every branch.  The analysis sets `table`, from the
     # next char to the entry of the branches worth parsing there, and
     # `other`, the entry at any other char and at the end of input.
-    __slots__ = ("branches", "entry", "table", "other")
+    # `keyed`, set on the first print, is the same pair by the top value's
+    # key, whose `other` tries the branches of unknown keys, else all.
+    __slots__ = ("branches", "entry", "table", "other", "keyed")
 
     def __init__(self, branches: tuple):
         self.branches = branches
         self.entry = _entry(branches)
-        self.info = self.table = self.other = None
+        self.info = self.table = self.other = self.keyed = None
 
 
 # Leaves.  Each has a parse step and a print step of one shape,
@@ -394,6 +400,41 @@ def _analyse(root) -> None:
         node.info = info
 
 
+def _keys(node, seen: dict):
+    """The keys of the first leaf under `node` that touches the stack: a
+    frozenset, None if unknown, or False if no leaf does (lits only).
+    `seen` holds the walk's results, and None for the nodes on its path,
+    so a cycle is unknown, as an iso is."""
+    kind = type(node)
+    if kind is _Lit:
+        return False
+    if kind is _Satisfy:
+        return frozenset([Char])
+    if kind is _PrismLead:
+        return node.prism.keys
+    if node not in seen:
+        seen[node] = None
+        if kind is _Seq:
+            heads = (_keys(item, seen) for item in node.items)
+            seen[node] = next((k for k in heads if k is not False), False)
+        elif kind is _Alt:  # unknown if a branch is, or touches nothing
+            found = [_keys(branch, seen) for branch in node.branches]
+            seen[node] = frozenset().union(*found) if all(found) else None
+        elif kind is _Defer:
+            seen[node] = _keys(node.force(), seen)
+    return seen[node]
+
+
+def _keyed(node: _Alt) -> tuple:
+    """`node.keyed`, worked out once: a branch whose keys are known is
+    tried only at those keys."""
+    seen = {}
+    infos = [(_keys(b, seen) or None, False) for b in node.branches]
+    table, other = _guard(node.branches, infos)
+    node.keyed = table, other or node.entry
+    return node.keyed
+
+
 # ---------------------------------------------------------------------------
 # The machine
 #
@@ -424,8 +465,12 @@ def _run(d: Descriptor2, steps: dict, text, cursor, stack) -> Optional[tuple]:
                 work = (item, work)
             continue
         elif kind is _Alt:
-            entry = node.entry if text is None else node.table.get(
-                text[cursor] if cursor < len(text) else "", node.other)
+            if text is not None:
+                entry = node.table.get(
+                    text[cursor] if cursor < len(text) else "", node.other)
+            else:
+                table, other = node.keyed or _keyed(node)
+                entry = table.get(key_of(stack.entry), other)
             if entry is not None:  # no branch to try is failure
                 for branch in entry[1]:
                     alts.append(((branch, work), cursor, stack))

@@ -8,7 +8,6 @@ taken apart / rebuilt with `Prism` objects; an `Iso` always matches.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -354,15 +353,22 @@ _NO_OUTPUT = _Output("", None, 0)
 
 
 class Prism:
-    """One constructor of a sum type: total `review`, partial `preview`."""
+    """One constructor of a sum type: total `review`, partial `preview`.
 
-    __slots__ = ("tag", "arity", "_preview", "_review")
+    `keys`, if given, must hold `key_of(v)` for every `v` that `preview`
+    matches: printing then skips a choice branch opening with this prism
+    for a value of any other key.  None, as for an `Iso`, rules out no
+    value.
+    """
 
-    def __init__(self, tag: str, arity: int, preview, review):
+    __slots__ = ("tag", "arity", "_preview", "_review", "keys")
+
+    def __init__(self, tag: str, arity: int, preview, review, keys=None):
         self.tag = tag
         self.arity = arity
         self._preview = preview
         self._review = review
+        self.keys = None if keys is None else frozenset(keys)
 
     def preview(self, v: Value) -> Optional[tuple]:
         """Components of v if it matches this constructor, else None."""
@@ -401,6 +407,17 @@ class Iso(Prism):
         return f"Iso({self.name})"
 
 
+def key_of(v: Value):
+    """The key a prism declares for `v`: `(tag, arity)` of an `Adt`,
+    "cons" or "nil" for a non-empty or empty `List`, else its class."""
+    kind = type(v)
+    if kind is Adt:
+        return v.tag, len(v.args)
+    if kind is List:
+        return "cons" if v._tail is not None or v._off < len(v._base) else "nil"
+    return kind
+
+
 def pair_iso() -> Iso:
     """Witness of currying: Pair(a, b) against its two-component view."""
     def split(v: Value) -> Value:
@@ -430,7 +447,7 @@ def adt_prism(tag: str, arity: int) -> Prism:
             return v.args
         return None
 
-    return Prism(tag, arity, preview, lambda xs: Adt(tag, xs))
+    return Prism(tag, arity, preview, lambda xs: Adt(tag, xs), [(tag, arity)])
 
 
 def cons_prism() -> Prism:
@@ -451,7 +468,7 @@ def cons_prism() -> Prism:
             raise ContractViolation(f"cons wants a List tail, got {tail!r}")
         return _cons(head, tail)
 
-    return Prism("cons", 2, preview, review)
+    return Prism("cons", 2, preview, review, ["cons"])
 
 
 def nil_prism() -> Prism:
@@ -461,7 +478,7 @@ def nil_prism() -> Prism:
             return ()
         return None
 
-    return Prism("nil", 0, preview, lambda xs: List(()))
+    return Prism("nil", 0, preview, lambda xs: List(()), ["nil"])
 
 
 def const_prism(tag: str, value: Value) -> Prism:
@@ -537,10 +554,12 @@ def _decode(x) -> Value:
 
 
 def value_to_json(v: Value) -> str:
+    import json  # here, so that an import of the grammar does not pay for it
     return json.dumps(_encode(v), separators=(",", ":"), ensure_ascii=False)
 
 
 def value_from_json(s: str) -> Optional[Value]:
+    import json
     try:
         return _decode(json.loads(s))
     except (ValueError, RecursionError):

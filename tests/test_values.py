@@ -1,12 +1,16 @@
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
 from cassette import tier2
 from cassette.values import (
     Adt, Bool, Char, ContractViolation, Int, List, Pair, Prism, Text,
-    Unit, adt_prism, cons_prism, const_prism, identity_iso, nil_prism,
-    pair_iso, stack_of, value_from_json, value_to_json, EMPTY_STACK,
+    Unit, adt_prism, cons_prism, const_prism, identity_iso, key_of,
+    nil_prism, pair_iso, stack_of, value_from_json, value_to_json,
+    EMPTY_STACK,
 )
 
 
@@ -320,3 +324,56 @@ def test_a_shipped_iso_is_an_arity_one_prism(iso, shown, domain):
     for v in domain:
         assert iso.preview(v) == (iso.to(v),)
         assert iso.review((iso.to(v),)) == v
+
+
+def test_importing_the_grammar_leaves_json_unimported():
+    # a fresh interpreter that only parses and prints does not pay for it
+    src = pathlib.Path(tier2.__file__).resolve().parents[1]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import cassette.lam; print('json' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-I", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "False\n", proc.stderr
+
+
+# Keys: a prism that matches a value declares its key
+
+
+def _key_samples():
+    ab = List((Char("a"), Char("b")))
+    cons = cons_prism()
+    suffix = cons.preview(ab)[1]  # a suffix view, one item left
+    return UNIVERSE + [
+        Adt("T", ()), Adt("T", (Int(1),)), Adt("U", (Int(1), Int(2))),
+        Adt("Var", (Text("x"),)), Adt("Abs", (Text("x"), Adt("T", ()))),
+        List(()), ab, suffix, cons.preview(suffix)[1],
+        cons.review((Char("c"), ab)), cons.review((Char("c"), List(()))),
+        Pair(Int(1), Unit()), Unit(), Char("a"), Int(3), Text("ab"),
+    ]
+
+
+@pytest.mark.parametrize("prism", [
+    adt_prism("T", 0), adt_prism("T", 1), adt_prism("U", 2),
+    adt_prism("Var", 1), adt_prism("Abs", 2), cons_prism(), nil_prism(),
+], ids=repr)
+def test_a_shipped_keyed_prism_matches_only_values_of_its_keys(prism):
+    matched = [v for v in _key_samples() if prism.preview(v) is not None]
+    assert matched and prism.keys
+    for v in matched:
+        assert key_of(v) in prism.keys, v
+    assert len({key_of(v) for v in matched}) == 1
+
+
+def test_key_of_tells_the_list_forms_apart_by_emptiness_alone():
+    ab = List((Char("a"), Char("b")))
+    cons = cons_prism()
+    suffix = cons.preview(ab)[1]
+    assert {key_of(ab), key_of(suffix), key_of(cons.review((Char("c"), List(()))))} == {"cons"}
+    assert {key_of(List(())), key_of(cons.preview(suffix)[1])} == {"nil"}
+    assert key_of(Adt("T", (Unit(),))) == ("T", 1)
+    assert [key_of(v) for v in (Char("a"), Unit(), Pair(Unit(), Unit()))] == [Char, Unit, Pair]
+
+
+def test_isos_and_constant_prisms_declare_no_keys():
+    assert identity_iso().keys is None and pair_iso().keys is None
+    assert const_prism("T", Bool(True)).keys is None
