@@ -140,9 +140,9 @@ def _resume(wk: TracedK, value, failure: Answer) -> Answer:
 # cells is n + 2.
 
 
-def _pop_char(v: Value) -> str:
+def _pop_char(v: Value, label: str) -> str:
     if not isinstance(v, Char):
-        raise ContractViolation(f"print wants a Char on the stack, got {v!r}")
+        raise ContractViolation(f"{label} wants a Char, got {v!r}")
     return v.c
 
 
@@ -431,9 +431,9 @@ def lin_satisfy(pred: Callable[[str], bool], label: str = "satisfy") -> Linear:
     """Print pops a Char and emits it; parse consumes one passing char.
     A char the predicate rejects is a violation on both sides."""
     def pr(wk, fl):
-        def answer(stack, wk=wk, fl=fl, pred=pred):
+        def answer(stack, wk=wk, fl=fl, pred=pred, label=label):
             c, rest = stack.pop()
-            if not pred(_pop_char(c)):
+            if not pred(_pop_char(c, label)):
                 raise ContractViolation(f"{c.c!r} does not satisfy {label}")
             return _resume(wk.trace(c.c), c, fl)(rest)
         return answer
@@ -525,9 +525,9 @@ def alt_satisfy(pred, label: str = "satisfy") -> Choice:
     """Print pops a Char and emits it; either side fails recoverably on
     a char the predicate rejects."""
     def pr(wk, fl):
-        def answer(stack, wk=wk, fl=fl, pred=pred):
+        def answer(stack, wk=wk, fl=fl, pred=pred, label=label):
             c, rest = stack.pop()
-            if not pred(_pop_char(c)):
+            if not pred(_pop_char(c, label)):
                 return fl(stack)
             # a later failure hands fl the stack this answer was given
             return _resume(wk.trace(c.c), c, fl if fl is _no_print else

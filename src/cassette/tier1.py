@@ -24,25 +24,31 @@ from .values import (
 
 
 class Descriptor1:
-    """A splice-able run of tier-2 leaves, without choice.  `arity` is
-    the net number of argument values the print side consumes: a satisfy
-    pops one, a lit none, and a lead of k components 1 - k.  It and
-    the running need, the most values popped before the leads push
-    theirs, are worked out once, when the run is built."""
+    """A splice-able run of tier-2 leaves, without choice.  `_owners`
+    holds, per node, the argument whose value it pops: a satisfy or a
+    lead pops the top value, and a lead of k components pushes k values
+    of the argument it took apart.  `_need` is the number of arguments
+    popped in all, and `arity` that number less the components no leaf
+    pops.  All three are worked out once, when the run is built."""
 
-    __slots__ = ("nodes", "arity", "_need")
+    __slots__ = ("nodes", "arity", "_need", "_owners")
 
     def __init__(self, nodes: tuple):
         self.nodes = nodes
-        popped = need = 0  # values popped net, and the most of them
+        need, owners, left = 0, [], []  # left: unpopped components' owners, top last
         for node in nodes:
+            nth = None
             if type(node) is not _Lit:
-                popped += 1
-                need = max(need, popped)
+                if not left:  # the top value is the next argument
+                    need += 1
+                    left.append(need)
+                nth = left.pop()
                 if type(node) is not _Satisfy:  # a lead pushes components
-                    popped -= node.prism.arity
-        self.arity = popped
+                    left += [nth] * node.prism.arity
+            owners.append(nth)
+        self._owners = tuple(owners)
         self._need = need
+        self.arity = need - len(left)
 
     def __add__(self, other: "Descriptor1") -> "Descriptor1":
         return compose(self, other)
@@ -120,24 +126,12 @@ def sprintf(d: Descriptor1, args: Sequence[Value]) -> str:
         except ContractViolation as e:
             if type(node) is not _Satisfy or stack.is_empty():
                 raise  # lead misuse, or an underflow that no argument owns
-            raise ContractViolation(f"argument {_argument(d, k)}: {e}") from None
+            raise ContractViolation(f"argument {d._owners[k]}: {e}") from None
         out, stack = moved
     if not stack.is_empty():
         raise ContractViolation(
             f"{stack.size} unconsumed arguments after printing")
     return out.text()
-
-
-def _argument(d: Descriptor1, k: int) -> int:
-    """The argument that the value leaf k pops came from; a lead's
-    components come from the argument it took apart."""
-    owners = list(range(d.arity, 0, -1))  # top last
-    for node in d.nodes[:k]:
-        if type(node) is not _Lit:
-            nth = owners.pop()
-            if type(node) is not _Satisfy:
-                owners += [nth] * node.prism.arity
-    return owners[-1]
 
 
 def sscanf(d: Descriptor1, text: str) -> tuple:

@@ -4,6 +4,7 @@ Every engine in this package moves the same dynamically-typed `Value`
 data through a persistent `Stack`, and prints into the same persistent
 `_Output`.  Sum types are encoded uniformly as `Adt(tag, args)` and
 taken apart / rebuilt with `Prism` objects; an `Iso` always matches.
+`Value` alone defines `==`, `hash` and `repr`: by class and parts.
 """
 
 from __future__ import annotations
@@ -20,17 +21,27 @@ class ContractViolation(Exception):
 
 
 class Value:
+    """A value is its class and its parts (the fields its `__slots__`
+    names, unless it overrides `_parts`), for `==`, `hash` and `repr`."""
+
     __slots__ = ()
+
+    def _parts(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._parts() == other._parts()
+
+    def __hash__(self):
+        return hash((type(self), self._parts()))
+
+    def __repr__(self):
+        name, parts = type(self).__name__, self._parts()  # (x,) shows a comma
+        return f"{name}({parts[0]!r})" if len(parts) == 1 else name + repr(parts)
 
 
 class Unit(Value):
     __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, Unit)
-
-    def __hash__(self):
-        return hash(Unit)
 
     def __repr__(self):
         return "Unit"
@@ -42,30 +53,12 @@ class Bool(Value):
     def __init__(self, flag: bool):
         self.flag = bool(flag)
 
-    def __eq__(self, other):
-        return isinstance(other, Bool) and self.flag == other.flag
-
-    def __hash__(self):
-        return hash(("Bool", self.flag))
-
-    def __repr__(self):
-        return f"Bool({self.flag})"
-
 
 class Int(Value):
     __slots__ = ("n",)
 
     def __init__(self, n: int):
         self.n = int(n)
-
-    def __eq__(self, other):
-        return isinstance(other, Int) and self.n == other.n
-
-    def __hash__(self):
-        return hash(("Int", self.n))
-
-    def __repr__(self):
-        return f"Int({self.n})"
 
 
 class Char(Value):
@@ -76,30 +69,12 @@ class Char(Value):
             raise ContractViolation(f"Char wants a single scalar, got {c!r}")
         self.c = c
 
-    def __eq__(self, other):
-        return isinstance(other, Char) and self.c == other.c
-
-    def __hash__(self):
-        return hash(("Char", self.c))
-
-    def __repr__(self):
-        return f"Char({self.c!r})"
-
 
 class Text(Value):
     __slots__ = ("s",)
 
     def __init__(self, s: str):
         self.s = s
-
-    def __eq__(self, other):
-        return isinstance(other, Text) and self.s == other.s
-
-    def __hash__(self):
-        return hash(("Text", self.s))
-
-    def __repr__(self):
-        return f"Text({self.s!r})"
 
 
 class List(Value):
@@ -110,7 +85,7 @@ class List(Value):
     the List `_tail`) and a suffix view (`_base[_off:]`, the tail a
     preview takes of a tuple).  For those `.items` is built once, by one
     walk down the cons nodes, and cached.  The form only shows in cost:
-    equality, hashing, repr and JSON go through `.items`.
+    `==`, `hash`, `repr` (through `_parts`) and JSON go through `.items`.
     """
 
     __slots__ = ("_items", "_base", "_off", "_head", "_tail")
@@ -127,11 +102,8 @@ class List(Value):
             items = self._items = _flatten(self)
         return items
 
-    def __eq__(self, other):
-        return isinstance(other, List) and self.items == other.items
-
-    def __hash__(self):
-        return hash(("List", self.items))
+    def _parts(self) -> tuple:
+        return self.items
 
     def __repr__(self):
         return "List[" + ", ".join(map(repr, self.items)) + "]"
@@ -171,16 +143,6 @@ class Pair(Value):
         self.first = first
         self.second = second
 
-    def __eq__(self, other):
-        return (isinstance(other, Pair)
-                and self.first == other.first and self.second == other.second)
-
-    def __hash__(self):
-        return hash(("Pair", self.first, self.second))
-
-    def __repr__(self):
-        return f"Pair({self.first!r}, {self.second!r})"
-
 
 class Adt(Value):
     __slots__ = ("tag", "args")
@@ -189,15 +151,8 @@ class Adt(Value):
         self.tag = tag
         self.args = tuple(args)
 
-    def __eq__(self, other):
-        return (isinstance(other, Adt)
-                and self.tag == other.tag and self.args == other.args)
-
-    def __hash__(self):
-        return hash(("Adt", self.tag, self.args))
-
-    def __repr__(self):
-        return f"Adt({self.tag!r}" + "".join(f", {a!r}" for a in self.args) + ")"
+    def _parts(self) -> tuple:
+        return (self.tag,) + self.args
 
 
 # ---------------------------------------------------------------------------

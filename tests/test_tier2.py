@@ -544,17 +544,22 @@ def test_the_lambda_corpus_prints_without_a_failing_leaf_step(monkeypatch):
 
 
 def test_a_choice_of_a_satisfy_and_a_lead_prints_in_either_order():
-    # the value's key picks the lead, so the satisfy never meets the Adt
-    letter = tier2.satisfy(str.isalpha, "set")
+    # the value's key picks the lead, so the satisfy never meets the Adt;
+    # a branch's keys are found past its lits, and inside a defer
+    letter = tier2.satisfy(str.isalpha, "letter")
     lead = tier2.prism_lead(adt_prism("T", 0))
-    for d in (letter | lead, lead | letter):
+    bang = tier2.lit("!")
+    for d, q in ((letter | lead, "q"), (lead | letter, "q"),
+                 (tier2.defer(lambda: letter + bang) | lead, "q!"),
+                 ((letter | tier2.lit("?") + letter) + bang | lead, "q!")):
         compiled = stacked.from_descriptor(d)
         for engine_pretty, grammar in ((tier2.pretty, d), (stacked.pretty, compiled)):
             assert engine_pretty(grammar, Adt("T", ())) == ""
-            assert engine_pretty(grammar, Char("q")) == "q"
+            assert engine_pretty(grammar, Char("q")) == q
             assert engine_pretty(grammar, Char("1")) is None
             # a key no branch declares tries every branch, which raises
-            with pytest.raises(ContractViolation, match="wants a Char"):
+            with pytest.raises(ContractViolation,
+                               match=r"^letter wants a Char, got Adt\('U'\)$"):
                 engine_pretty(grammar, Adt("U", ()))
 
 

@@ -42,6 +42,49 @@ def test_equality_is_structural_and_deep():
     assert Pair(Int(1), Int(2)) != List((Int(1), Int(2)))
     assert Unit() == Unit()
     assert Bool(True) != Int(1)
+    # a value's class is part of it
+    a, b = Int(1), Char('b')
+    for v, w in [(Bool(False), Int(0)), (Unit(), List(())),
+                 (Adt("Pair", (a, b)), Pair(a, b)), (Char('x'), Text("x")),
+                 (Text("Nil"), Adt("Nil", ())), (Adt("Nil", ()), List(()))]:
+        assert v != w and w != v
+        assert not (v == w or w == v)
+    for v in (Unit(), Bool(False), Int(0), Text(""), List(()), Adt("Nil", ())):
+        assert v != None and None != v
+        assert v != () and v != 0 and v != ""
+    for v in UNIVERSE[:40]:
+        for w in UNIVERSE:
+            if v == w:
+                assert hash(v) == hash(w)
+
+
+SUFFIX = cons_prism().preview(List((Int(0), Int(1), Int(2))))[1]
+CONS = cons_prism().review((Int(1), List((Int(2),))))
+
+
+@pytest.mark.parametrize("value, shown", [
+    (Unit(), "Unit"),
+    (Bool(True), "Bool(True)"),
+    (Bool(False), "Bool(False)"),
+    (Int(12), "Int(12)"),
+    (Int(-3), "Int(-3)"),
+    (Char('a'), "Char('a')"),
+    (Char("'"), 'Char("\'")'),
+    (Char('λ'), "Char('λ')"),
+    (Text("a b"), "Text('a b')"),
+    (Text(""), "Text('')"),
+    (List(()), "List[]"),
+    (List((Int(1), Char('c'))), "List[Int(1), Char('c')]"),
+    (SUFFIX, "List[Int(1), Int(2)]"),
+    (CONS, "List[Int(1), Int(2)]"),
+    (Pair(Int(1), Unit()), "Pair(Int(1), Unit)"),
+    (Adt("Nil", ()), "Adt('Nil')"),
+    (Adt("Var", (Text("x"),)), "Adt('Var', Text('x'))"),
+    (Adt("Abs", (Text("x"), Adt("Var", (Text("x"),)))),
+     "Adt('Abs', Text('x'), Adt('Var', Text('x')))"),
+])
+def test_repr_shows_the_class_and_its_parts(value, shown):
+    assert repr(value) == shown
 
 
 def test_equality_is_an_equivalence_relation():
